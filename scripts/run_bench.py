@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Throughput experiment: patches/second across extents and thread counts.
 
-Pins BLAS pools to the requested worker count before numpy loads, then runs
-the benchmark harness once per (extent, threads) combination and prints one
-JSON line per run.
+Pins BLAS to one thread per worker before numpy loads, then runs the
+benchmark harness once per (extent, threads) combination and prints one
+JSON line per run; ``--threads N`` runs N forward workers.
 """
 
 import argparse
-import os
+
+from pwseg.cli import pin_blas_threads
 
 
 def parse_extent(text):
@@ -27,8 +28,7 @@ def main() -> int:
     parser.add_argument("--conv-only", action="store_true", help="disable attention blocks")
     args = parser.parse_args()
 
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(min(args.threads)))
+    pin_blas_threads()
 
     from pwseg.analysis import bench
     from pwseg.network import NetworkConfig, conv_only

@@ -9,8 +9,9 @@ Subcommands:
     bench          forward-throughput measurement
     gen-synthetic  seeded phantom volumes + label
 
-Heavy numeric imports happen inside the handlers so ``bench`` can pin BLAS
-thread counts via environment variables before numpy loads.
+Heavy numeric imports happen inside the handlers (importing ``pwseg`` loads
+no submodule), so ``bench`` can pin BLAS thread counts via environment
+variables before numpy loads.
 """
 
 from __future__ import annotations
@@ -19,6 +20,26 @@ import argparse
 import json
 import os
 import sys
+
+
+BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def pin_blas_threads() -> None:
+    """Give each worker thread a single-threaded BLAS.
+
+    Assigns (never defaults) the thread-pool variables, so an exported
+    ``OMP_NUM_THREADS`` cannot change a run.  Takes effect only if numpy has
+    not been loaded yet in this process.
+    """
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
 
 
 def _triple(text: str) -> tuple[int, int, int]:
@@ -132,9 +153,8 @@ def _cmd_mad(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    # Pin BLAS pools before numpy is imported anywhere in this process.
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(args.threads))
+    # --threads N runs N forward workers, each on a one-thread BLAS.
+    pin_blas_threads()
     from .analysis import bench
 
     cfg = _load_config(args.config)
@@ -218,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="forward throughput measurement")
     p.add_argument("--config", required=True)
     p.add_argument("--extent", type=_triple, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="forward worker threads; BLAS runs one thread per worker")
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

@@ -17,6 +17,10 @@ class ScheduleError(ShapeError):
     """A window schedule cannot be constructed for the given extent."""
 
 
+class NonFiniteError(ValueError):
+    """An input tensor holds NaN or infinite values."""
+
+
 class ConfigError(ValueError):
     """A configuration is internally inconsistent."""
 

@@ -6,8 +6,8 @@ convolution stream of grouped multi-kernel blocks, and a per-modality
 attention stream of paired-window blocks with weights shared across
 modalities.  Stage outputs fuse additively into skip tensors.  The decoder
 upsamples with pointwise-expansion + voxel shuffle, concatenates the skip,
-and applies one conv block per level; a final shuffle restores full
-resolution before the classification head.
+and applies one conv block per level; the classification head runs on the
+last expansion and a final shuffle restores full resolution.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .tensor import (
     gelu,
     layer_norm,
     pointwise_conv,
+    require_finite,
     voxel_shuffle,
 )
 
@@ -96,22 +97,49 @@ _INT_TUPLE_FIELDS = {
 }
 
 
+def _int(key: str, value) -> int:
+    """A JSON integer (or integral number) for field ``key``; bools and strings are rejected."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _seq(key: str, value):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"config field {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _ints(key: str, value) -> tuple[int, ...]:
+    return tuple(_int(key, v) for v in _seq(key, value))
+
+
 def config_from_dict(payload: dict) -> NetworkConfig:
-    """Build a config from parsed JSON, coercing lists to tuples."""
-    known = {f.name for f in NetworkConfig.__dataclass_fields__.values()}
-    unknown = set(payload) - known
+    """Build a config from parsed JSON, type-checking fields and coercing lists to tuples.
+
+    Raises ConfigError naming the field on an unknown field, a bool field
+    that is not a JSON bool, or an integer field holding a bool, a string
+    or a non-integral number.
+    """
+    fields = NetworkConfig.__dataclass_fields__
+    unknown = set(payload) - set(fields)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     coerced = {}
     for key, value in payload.items():
-        if key in _INT_TUPLE_FIELDS:
-            coerced[key] = tuple(int(v) for v in value)
-        elif key in _TRIPLE_FIELDS:
-            coerced[key] = tuple(int(v) for v in value)
+        default = fields[key].default
+        if key in _INT_TUPLE_FIELDS or key in _TRIPLE_FIELDS:
+            coerced[key] = _ints(key, value)
         elif key in _TRIPLE_TUPLE_FIELDS:
-            coerced[key] = tuple(tuple(int(v) for v in triple) for triple in value)
-        else:
+            coerced[key] = tuple(_ints(key, triple) for triple in _seq(key, value))
+        elif isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError(f"config field {key!r} must be true or false, got {value!r}")
             coerced[key] = value
+        else:
+            coerced[key] = _int(key, value)
     return NetworkConfig(**coerced)
 
 
@@ -194,10 +222,13 @@ def downsample_conv(x: np.ndarray, p: DownsampleParams) -> np.ndarray:
     for axis, e in zip(SPATIAL_AXES, (d, h, w)):
         if e % s != 0:
             raise ShapeError(f"{axis} extent {e} not divisible by stride {s}")
+    # Patch columns [C_in*s^3, P]: the product with the [C_out, C_in*s^3]
+    # weight lands directly in the [C_out, P] output layout.
     x7 = x.reshape(c_in, d // s, s, h // s, s, w // s, s)
-    cols = np.ascontiguousarray(x7.transpose(1, 3, 5, 0, 2, 4, 6)).reshape(-1, c_in * s**3)
-    out = cols @ p.weight.reshape(p.c_out, -1).T + p.bias
-    return np.ascontiguousarray(out.T).reshape(p.c_out, d // s, h // s, w // s)
+    cols = np.ascontiguousarray(x7.transpose(0, 2, 4, 6, 1, 3, 5)).reshape(c_in * s**3, -1)
+    out = p.weight.reshape(p.c_out, -1) @ cols
+    out += p.bias[:, None]
+    return out.reshape(p.c_out, d // s, h // s, w // s)
 
 
 def _downsample_init(rng, c_out: int, c_in: int, stride: int) -> DownsampleParams:
@@ -361,7 +392,7 @@ def forward(net: Network, volumes) -> np.ndarray:
                 f"modality {m}: volume shape {v.shape} != {expected} (network built for extent "
                 f"{tuple(cfg.input_extent)})"
             )
-        vols.append(v)
+        vols.append(require_finite(v, f"modality {m} volume"))
 
     full = np.concatenate(vols, axis=0)
     mixed = gelu(pointwise_conv(full, net.modal_mixer))
@@ -392,8 +423,25 @@ def forward(net: Network, volumes) -> np.ndarray:
         for blk in dec.blocks:
             x = jlc_forward(x, blk)
 
-    x = voxel_shuffle(pointwise_conv(x, net.final_expand), cfg.patch_stride)
-    return pointwise_conv(x, net.head)
+    return _head_forward(net, x)
+
+
+def _head_forward(net: Network, x: np.ndarray) -> np.ndarray:
+    """Final expansion, classification head and shuffle to full resolution.
+
+    Equals ``pointwise_conv(voxel_shuffle(pointwise_conv(x, final_expand), s), head)``:
+    the head is a per-voxel channel map and the shuffle only moves voxels,
+    so the head runs first and the shuffle moves num_classes channels
+    instead of head_width.  Rows c*s^3 .. (c+1)*s^3-1 of the expansion hold
+    head channel c's voxels, so a [head_width, D, H, W] view groups them per
+    channel (in pre-shuffle order).
+    """
+    cfg = net.config
+    s = cfg.patch_stride
+    x = pointwise_conv(x, net.final_expand)
+    coarse = x.shape[1:]
+    x = pointwise_conv(x.reshape(cfg.head_width, *(s * e for e in coarse)), net.head)
+    return voxel_shuffle(x.reshape(cfg.num_classes * s**3, *coarse), s)
 
 
 def _iter_conv(p: ConvParams):

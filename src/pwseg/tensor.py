@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 
 DTYPE = np.float32
 
@@ -33,8 +33,9 @@ def as_tensor5(data) -> np.ndarray:
 
 
 def require_finite(arr: np.ndarray, what: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
+    """Return ``arr`` unchanged; raise NonFiniteError if it holds NaN or Inf."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{what} contains non-finite values")
     return arr
 
 
@@ -234,17 +235,41 @@ def instance_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: floa
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+# Elements per GELU block: the scratch block and the output slice it fills
+# (2 x 128 KiB in float32) stay in L2 while the formula's passes run over them.
+GELU_BLOCK = 32768
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Gaussian error linear unit (tanh approximation)."""
-    x = np.asarray(x)
-    return (0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x * x * x)))).astype(x.dtype)
+    """Gaussian error linear unit (tanh approximation).
 
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product; thin alias kept so the substrate surface is complete."""
-    return np.matmul(a, b)
+    Evaluates 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))) in blocks of
+    ``GELU_BLOCK`` elements, so no full-size temporary is made.  The output
+    is a new C-ordered array of the input's shape; floating inputs keep
+    their dtype, other inputs are promoted to float.
+    """
+    x = np.ascontiguousarray(x)
+    if x.dtype.kind != "f":
+        x = x.astype(np.result_type(x.dtype, DTYPE))
+    out = np.empty(x.shape, dtype=x.dtype)
+    flat_x = x.reshape(-1)
+    flat_out = out.reshape(-1)
+    scratch = np.empty(min(flat_x.size, GELU_BLOCK), dtype=x.dtype)
+    for start in range(0, flat_x.size, GELU_BLOCK):
+        xb = flat_x[start : start + GELU_BLOCK]
+        ob = flat_out[start : start + GELU_BLOCK]
+        t = scratch[: xb.size]
+        # the whole-array expression's operations, in its order and dtype
+        np.multiply(xb, 0.044715, out=t)
+        t *= xb
+        t *= xb
+        t += xb
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        t += 1.0
+        np.multiply(xb, 0.5, out=ob)
+        ob *= t
+    return out
 
 
 def voxel_shuffle(x: np.ndarray, factor: int) -> np.ndarray:

@@ -39,7 +39,10 @@ def write(path, t: np.ndarray) -> None:
 
 
 def read(path) -> np.ndarray:
-    """Parse a volume file back into a rank-5 float32 array."""
+    """Parse a volume file back into a rank-5 float32 array.
+
+    Raises NonFiniteError if the payload holds NaN or Inf.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise TruncatedFileError(f"{path}: file shorter than the {_HEADER.size}-byte header")
@@ -55,6 +58,7 @@ def read(path) -> np.ndarray:
     if len(blob) > expected:
         raise VolumeFormatError(f"{path}: {len(blob) - expected} trailing bytes after payload")
     data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size, count=count)
+    require_finite(data, f"{path}: volume payload")
     return np.ascontiguousarray(data.astype(DTYPE).reshape(m, c, d, h, w))
 
 

@@ -1,10 +1,15 @@
 """End-to-end CLI tests driving every subcommand in-process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwseg
 from pwseg import volume_io
 from pwseg.cli import main
 
@@ -156,3 +161,21 @@ class TestBenchCli:
         assert got["patches_per_second"] > 0
         on_disk = json.loads(report_path.read_text())
         assert on_disk["config_digest"] == got["config_digest"]
+
+    def test_threads_assigned_over_exported_value(self, capsys, tmp_path, monkeypatch):
+        """An exported OMP_NUM_THREADS cannot re-thread BLAS: each worker gets one."""
+        monkeypatch.setenv("OMP_NUM_THREADS", "7")
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(dict(TINY_CONFIG, attention_depth=[0, 0, 0, 0])))
+        code, got = run_cli(
+            capsys, "bench", "--config", str(cfg_path), "--threads", "1", "--iters", "1", "--warmup", "1"
+        )
+        assert code == 0 and got["threads"] == 1
+        assert os.environ["OMP_NUM_THREADS"] == "1"
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """The pinning only takes effect if numpy loads after it."""
+        probe = "import sys, pwseg.cli; sys.exit('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(pwseg.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60)
+        assert done.returncode == 0

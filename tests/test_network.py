@@ -7,13 +7,16 @@ from math import ceil
 import numpy as np
 import pytest
 
-from pwseg.errors import ConfigError, ShapeError
+from pwseg import network
+from pwseg.errors import ConfigError, NonFiniteError, ShapeError
 from pwseg.network import (
+    DownsampleParams,
     NetworkConfig,
     attention_stage_flops,
     build,
     config_from_dict,
     conv_only,
+    downsample_conv,
     flop_breakdown,
     forward,
     iter_param_arrays,
@@ -21,7 +24,7 @@ from pwseg.network import (
     total_flops,
 )
 from pwseg.pwa import pwa_flops
-from pwseg.tensor import ConvParams
+from pwseg.tensor import ConvParams, pointwise_conv, voxel_shuffle
 
 SMALL = NetworkConfig(input_extent=(32, 32, 32), conv_depth=(1, 1, 1, 1))
 
@@ -188,6 +191,68 @@ class TestForward:
         vols = [rng.standard_normal((1, 32, 32, 32), dtype=np.float32) for _ in range(4)]
         assert forward(net, vols).shape == (2, 32, 32, 32)
 
+    def test_non_finite_volume_rejected(self):
+        net = build(SMALL, seed=0)
+        vols = [np.zeros((1, 32, 32, 32), dtype=np.float32) for _ in range(2)]
+        vols[1][0, 3, 4, 5] = np.nan
+        with pytest.raises(NonFiniteError, match="modality 1"):
+            forward(net, vols)
+
+
+def row_major_downsample(x, p):
+    """The patchify conv as [P, C_in*s^3] columns times the transposed weight."""
+    c_in, d, h, w = x.shape
+    s = p.stride
+    x7 = x.reshape(c_in, d // s, s, h // s, s, w // s, s)
+    cols = np.ascontiguousarray(x7.transpose(1, 3, 5, 0, 2, 4, 6)).reshape(-1, c_in * s**3)
+    out = cols @ p.weight.reshape(p.c_out, -1).T + p.bias
+    return np.ascontiguousarray(out.T).reshape(p.c_out, d // s, h // s, w // s)
+
+
+def shuffle_then_head(net, x):
+    """Expansion, shuffle to full resolution, then the head at full resolution."""
+    x = voxel_shuffle(pointwise_conv(x, net.final_expand), net.config.patch_stride)
+    return pointwise_conv(x, net.head)
+
+
+class TestFastPaths:
+    """The column-major patchify and the head-before-shuffle order only move
+    data or permute independent dot products, so they are bit-exact."""
+
+    @pytest.mark.parametrize("stride", [2, 4])
+    @pytest.mark.parametrize("c_in", [1, 16, 32])
+    def test_downsample_matches_row_major(self, stride, c_in):
+        rng = np.random.default_rng(10 * stride + c_in)
+        p = DownsampleParams(
+            weight=rng.standard_normal((24, c_in, stride, stride, stride)).astype(np.float32),
+            bias=rng.standard_normal(24).astype(np.float32),
+            stride=stride,
+        )
+        x = rng.standard_normal((c_in, 32, 16, 24)).astype(np.float32)
+        got = downsample_conv(x, p)
+        assert got.shape == (24, 32 // stride, 16 // stride, 24 // stride)
+        np.testing.assert_array_equal(got, row_major_downsample(x, p))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            NetworkConfig(),
+            replace(SMALL, head_width=3, num_classes=5, patch_stride=2),
+        ],
+        ids=["default", "head3_classes5_stride2"],
+    )
+    def test_head_before_shuffle(self, cfg, monkeypatch):
+        net = build(cfg, seed=4)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((cfg.stage_widths[0], *cfg.stage_extents()[0])).astype(np.float32)
+        np.testing.assert_array_equal(network._head_forward(net, x), shuffle_then_head(net, x))
+
+        vols = [rng.standard_normal((1, *cfg.input_extent), dtype=np.float32) for _ in range(cfg.modalities)]
+        fast = forward(net, vols)
+        assert fast.shape == (cfg.num_classes, *cfg.input_extent)
+        monkeypatch.setattr(network, "_head_forward", shuffle_then_head)
+        np.testing.assert_array_equal(fast, forward(net, vols))
+
 
 class TestCounting:
     def test_pointwise_conv_closed_form(self):
@@ -244,3 +309,25 @@ class TestConfigJson:
         cfg = config_from_dict({"modalities": 1})
         assert cfg.modalities == 1
         assert cfg.stage_widths == (16, 32, 64, 128)
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"early_fusion": "false"}, "early_fusion"),
+            ({"early_fusion": 0}, "early_fusion"),
+            ({"num_classes": 2.5}, "num_classes"),
+            ({"num_classes": True}, "num_classes"),
+            ({"modalities": "2"}, "modalities"),
+            ({"stage_widths": [16, 32, "64", 128]}, "stage_widths"),
+            ({"input_extent": 96}, "input_extent"),
+            ({"big_window_minima": [[3, 3, 3], [6, 6.5, 6], [3, 3, 3], [3, 3, 3]]}, "big_window_minima"),
+        ],
+    )
+    def test_mistyped_field_named(self, payload, field):
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(payload)
+
+    def test_integral_numbers_accepted(self):
+        cfg = config_from_dict({"num_classes": 3.0, "early_fusion": False})
+        assert cfg.num_classes == 3 and type(cfg.num_classes) is int
+        assert cfg.early_fusion is False

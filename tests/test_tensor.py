@@ -1,12 +1,15 @@
 """Substrate tests: windowing, pooling, convolution, softmax, norms, shuffle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwseg.errors import ConfigError, ShapeError
+from pwseg.errors import ConfigError, NonFiniteError, ShapeError
 from pwseg.tensor import (
+    GELU_BLOCK,
     ConvParams,
     conv3d,
     conv_param_count,
@@ -15,6 +18,7 @@ from pwseg.tensor import (
     layer_norm,
     max_pool3,
     pointwise_conv,
+    require_finite,
     softmax_rows,
     voxel_shuffle,
     window_merge,
@@ -268,3 +272,59 @@ class TestNormsAndShuffle:
         p = ConvParams(weight=np.ones((2, 2, 3, 3, 3), dtype=np.float32))
         with pytest.raises(ConfigError):
             pointwise_conv(np.zeros((2, 4, 4, 4), dtype=np.float32), p)
+
+
+def gelu_closed_form(x):
+    """The tanh GELU as one whole-array expression; the oracle for the blocked kernel."""
+    x = np.asarray(x)
+    c = math.sqrt(2.0 / math.pi)
+    return (0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x)))).astype(x.dtype)
+
+
+class TestGeluBlocked:
+    """The blocked kernel runs the oracle's operations in the same order, so it
+    matches to float32 rounding (measured bit-identical); the tolerance below is
+    two float32 ulps relative plus 1e-7 absolute for values near zero."""
+
+    RTOL, ATOL = 2.0**-22, 1e-7
+
+    @pytest.mark.parametrize(
+        "size", [0, 1, GELU_BLOCK - 1, GELU_BLOCK, GELU_BLOCK + 1, 3 * GELU_BLOCK + 17]
+    )
+    def test_sizes_across_block_edges(self, size):
+        x = (np.random.default_rng(size).standard_normal(size) * 4).astype(np.float32)
+        got = gelu(x)
+        assert got.shape == x.shape and got.dtype == np.float32
+        np.testing.assert_allclose(got, gelu_closed_form(x), rtol=self.RTOL, atol=self.ATOL)
+
+    def test_float64_keeps_dtype(self):
+        x = np.random.default_rng(1).standard_normal((3, 5, 7, 11)) * 4
+        got = gelu(x)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, gelu_closed_form(x), rtol=1e-15, atol=1e-15)
+
+    def test_transposed_and_strided_inputs(self):
+        x = (np.random.default_rng(2).standard_normal((4, 40, 30, 50)) * 4).astype(np.float32)
+        for view in (x.transpose(3, 2, 1, 0), x[:, ::2, 1::3, ::-1]):
+            got = gelu(view)
+            assert got.shape == view.shape and got.flags.c_contiguous
+            np.testing.assert_allclose(got, gelu_closed_form(view), rtol=self.RTOL, atol=self.ATOL)
+
+    def test_input_untouched(self):
+        x = np.linspace(-6, 6, GELU_BLOCK + 5, dtype=np.float32)
+        before = x.copy()
+        gelu(x)
+        np.testing.assert_array_equal(x, before)
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_named_error(self, bad):
+        x = np.zeros((2, 3), dtype=np.float32)
+        x[1, 2] = bad
+        with pytest.raises(NonFiniteError, match="weights"):
+            require_finite(x, "weights")
+
+    def test_finite_passes_through(self):
+        x = np.ones(4, dtype=np.float32)
+        assert require_finite(x) is x

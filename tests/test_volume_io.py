@@ -8,6 +8,7 @@ import pytest
 from pwseg.errors import (
     BadMagicError,
     ConfigError,
+    NonFiniteError,
     TruncatedFileError,
     UnsupportedVersionError,
     VolumeFormatError,
@@ -67,6 +68,12 @@ class TestFormat:
         assert struct.unpack("<I", blob[4:8])[0] == 1
         assert struct.unpack("<5I", blob[8:28]) == (1, 1, 1, 1, 1)
         assert struct.unpack("<f", blob[28:32])[0] == 1.0
+
+    def test_read_rejects_non_finite_payload(self, tmp_path):
+        path = tmp_path / "inf.vxs"
+        path.write_bytes(b"VXSG" + struct.pack("<6I", 1, 1, 1, 1, 1, 2) + struct.pack("<2f", 1.0, np.inf))
+        with pytest.raises(NonFiniteError, match="inf.vxs"):
+            read(path)
 
     def test_rejects_non_finite(self, tmp_path):
         t = np.full((1, 1, 1, 1, 1), np.nan, dtype=np.float32)
