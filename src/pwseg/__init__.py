@@ -20,7 +20,7 @@ _EXPORTS = {
         "head_channels",
         "plan_stages",
     ),
-    "jlc": ("JlcBlockParams", "branch_channel_split", "build_jlc_block", "jlc_forward", "jlc_param_count"),
+    "jlc": ("JlcBlockParams", "branch_channel_split", "build_jlc_block", "jlc_forward"),
     "network": (
         "Network",
         "NetworkConfig",
@@ -29,7 +29,6 @@ _EXPORTS = {
         "conv_only",
         "flop_breakdown",
         "forward",
-        "param_count",
         "total_flops",
     ),
     "pwa": (
@@ -49,11 +48,12 @@ _EXPORTS = {
     "tensor": (
         "ConvParams",
         "conv3d",
-        "conv_param_count",
         "gelu",
         "instance_norm",
         "layer_norm",
         "max_pool3",
+        "param_arrays",
+        "param_count",
         "pointwise_conv",
         "softmax_rows",
         "voxel_shuffle",

@@ -10,8 +10,9 @@ Subcommands:
     gen-synthetic  seeded phantom volumes + label
 
 Heavy numeric imports happen inside the handlers (importing ``pwseg`` loads
-no submodule), so ``bench`` can pin BLAS thread counts via environment
-variables before numpy loads.
+no submodule, and ``pwseg.errors`` imports nothing), so ``bench`` can pin
+BLAS thread counts via environment variables before numpy loads.  Any
+``pwseg.errors`` failure prints a one-line ``error:`` message and exits 2.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import os
 import sys
 
+from .errors import PwsegError, ShapeError
 
 BLAS_THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -104,12 +106,10 @@ def _cmd_forward(args) -> int:
     net = build(cfg, seed=args.seed)
     vol = volume_io.read(args.input)
     if vol.shape[0] != cfg.modalities or vol.shape[1] != 1:
-        print(
-            f"error: input holds [{vol.shape[0]}, {vol.shape[1]}] modality/channel volumes, "
-            f"config expects [{cfg.modalities}, 1]",
-            file=sys.stderr,
+        raise ShapeError(
+            f"input holds [{vol.shape[0]}, {vol.shape[1]}] modality/channel volumes, "
+            f"config expects [{cfg.modalities}, 1]"
         )
-        return 2
     logits = forward(net, [vol[m] for m in range(cfg.modalities)])
     volume_io.write(args.output, logits[None])
     print(json.dumps({"output": args.output, "logits_shape": list(logits.shape)}))
@@ -261,8 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a pwseg error prints ``error: <message>`` and returns 2."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except PwsegError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,15 +1,19 @@
 """Exception types shared across the package.
 
-All errors derive from ValueError so callers that do not care about the
-fine-grained category can catch one base class.
+Every error derives from PwsegError (itself a ValueError), so callers that
+do not care about the fine-grained category can catch one base class.
 """
 
 
-class DomainError(ValueError):
+class PwsegError(ValueError):
+    """Base class of every error this package raises on bad input or config."""
+
+
+class DomainError(PwsegError):
     """A scalar argument lies outside its mathematical domain."""
 
 
-class ShapeError(ValueError):
+class ShapeError(PwsegError):
     """Tensor shapes or extents are inconsistent with an operation."""
 
 
@@ -17,15 +21,15 @@ class ScheduleError(ShapeError):
     """A window schedule cannot be constructed for the given extent."""
 
 
-class NonFiniteError(ValueError):
+class NonFiniteError(PwsegError):
     """An input tensor holds NaN or infinite values."""
 
 
-class ConfigError(ValueError):
+class ConfigError(PwsegError):
     """A configuration is internally inconsistent."""
 
 
-class VolumeFormatError(ValueError):
+class VolumeFormatError(PwsegError):
     """Base class for volume-file parse errors."""
 
 

@@ -17,8 +17,8 @@ from .errors import ConfigError
 from .tensor import (
     ConvParams,
     conv3d,
-    conv_param_count,
     gelu,
+    init_conv,
     instance_norm,
     pointwise_conv,
 )
@@ -110,33 +110,6 @@ def jlc_forward(x: np.ndarray, p: JlcBlockParams) -> np.ndarray:
     return y + h
 
 
-def jlc_param_count(p: JlcBlockParams) -> int:
-    """Exact count of stored reals across branches, norms, mixer and FFN."""
-    total = sum(conv_param_count(b) for b in p.branches)
-    total += p.norm_scale.size + p.norm_shift.size
-    total += p.ffn_norm_scale.size + p.ffn_norm_shift.size
-    total += conv_param_count(p.ffn_expand) + conv_param_count(p.ffn_project)
-    if p.mixer is not None:
-        total += conv_param_count(p.mixer)
-    return total
-
-
-def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) samples redrawn until they fall within two deviations."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while np.any(bad):
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
-    return out.astype(np.float32)
-
-
-def _conv_init(rng: np.random.Generator, c_out: int, c_in_per_group: int, kernel: int, groups: int) -> ConvParams:
-    weight = _trunc_normal(rng, (c_out, c_in_per_group, kernel, kernel, kernel))
-    bias = np.zeros(c_out, dtype=np.float32)
-    return ConvParams(weight=weight, bias=bias, groups=groups)
-
-
 def build_jlc_block(
     rng: np.random.Generator,
     channels: int,
@@ -148,18 +121,18 @@ def build_jlc_block(
     """Construct a block with seeded truncated-normal weights and zero biases."""
     widths = branch_channel_split(channels, group_size, len(kernels))
     branches = tuple(
-        _conv_init(rng, w, group_size, k, groups=w // group_size) for w, k in zip(widths, kernels)
+        init_conv(rng, w, group_size, k, groups=w // group_size) for w, k in zip(widths, kernels)
     )
     norm_scale = np.ones(channels, dtype=np.float32)
     norm_shift = np.zeros(channels, dtype=np.float32)
     ffn_norm_scale = np.ones(channels, dtype=np.float32)
     ffn_norm_shift = np.zeros(channels, dtype=np.float32)
     hidden = expansion * channels
-    ffn_expand = _conv_init(rng, hidden, channels, 1, groups=1)
-    ffn_project = _conv_init(rng, channels, hidden, 1, groups=1)
+    ffn_expand = init_conv(rng, hidden, channels)
+    ffn_project = init_conv(rng, channels, hidden)
     mixer = None
     if mixer_in is not None:
-        mixer = _conv_init(rng, channels, mixer_in, 1, groups=1)
+        mixer = init_conv(rng, channels, mixer_in)
     return JlcBlockParams(
         branches=branches,
         group_size=group_size,

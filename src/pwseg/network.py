@@ -18,7 +18,7 @@ from math import prod
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .jlc import JlcBlockParams, _conv_init, _trunc_normal, build_jlc_block, jlc_forward
+from .jlc import JlcBlockParams, build_jlc_block, jlc_forward
 from .pwa import (
     PwaParams,
     WindowSchedule,
@@ -33,7 +33,9 @@ from .tensor import (
     SPATIAL_AXES,
     ConvParams,
     gelu,
+    init_conv,
     layer_norm,
+    param_count,  # noqa: F401  (re-exported: pwseg.network.param_count)
     pointwise_conv,
     require_finite,
     voxel_shuffle,
@@ -197,24 +199,13 @@ def validate_config(cfg: NetworkConfig) -> None:
             raise ConfigError(f"stage {k + 1}: cannot build window schedule: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DownsampleParams:
-    """Non-overlapping strided (patchify) convolution: kernel == stride."""
-
-    weight: np.ndarray  # [C_out, C_in, s, s, s]
-    bias: np.ndarray
-    stride: int
-
-    @property
-    def c_out(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def c_in(self) -> int:
-        return self.weight.shape[1]
-
-
-def downsample_conv(x: np.ndarray, p: DownsampleParams) -> np.ndarray:
+def downsample_conv(x: np.ndarray, p: ConvParams) -> np.ndarray:
+    """Non-overlapping patchify conv: an ungrouped ConvParams with kernel == stride."""
+    if p.groups != 1 or p.kernel != p.stride:
+        raise ConfigError(
+            f"downsample needs an ungrouped conv with kernel == stride, got groups {p.groups}, "
+            f"kernel {p.kernel}, stride {p.stride}"
+        )
     c_in, d, h, w = x.shape
     s = p.stride
     if c_in != p.c_in:
@@ -227,13 +218,9 @@ def downsample_conv(x: np.ndarray, p: DownsampleParams) -> np.ndarray:
     x7 = x.reshape(c_in, d // s, s, h // s, s, w // s, s)
     cols = np.ascontiguousarray(x7.transpose(0, 2, 4, 6, 1, 3, 5)).reshape(c_in * s**3, -1)
     out = p.weight.reshape(p.c_out, -1) @ cols
-    out += p.bias[:, None]
+    if p.bias is not None:
+        out += p.bias[:, None]
     return out.reshape(p.c_out, d // s, h // s, w // s)
-
-
-def _downsample_init(rng, c_out: int, c_in: int, stride: int) -> DownsampleParams:
-    weight = _trunc_normal(rng, (c_out, c_in, stride, stride, stride))
-    return DownsampleParams(weight=weight, bias=np.zeros(c_out, dtype=DTYPE), stride=stride)
 
 
 @dataclass(frozen=True)
@@ -254,8 +241,8 @@ def _build_pwa_block(rng, channels, sched, modalities, n_head, c_min, expansion)
         attn=attn,
         ffn_norm_scale=np.ones(channels, dtype=DTYPE),
         ffn_norm_shift=np.zeros(channels, dtype=DTYPE),
-        ffn_expand=_conv_init(rng, hidden, channels, 1, groups=1),
-        ffn_project=_conv_init(rng, channels, hidden, 1, groups=1),
+        ffn_expand=init_conv(rng, hidden, channels),
+        ffn_project=init_conv(rng, channels, hidden),
     )
 
 
@@ -274,8 +261,8 @@ class StageParams:
     jlc_blocks: tuple[JlcBlockParams, ...]
     pwa_blocks: tuple[PwaBlockParams, ...]
     fuse_proj: ConvParams
-    jlc_down: DownsampleParams | None
-    pwa_down: DownsampleParams | None
+    jlc_down: ConvParams | None
+    pwa_down: ConvParams | None
 
 
 @dataclass(frozen=True)
@@ -291,8 +278,8 @@ class Network:
     config: NetworkConfig
     seed: int
     modal_mixer: ConvParams
-    jlc_embed: DownsampleParams
-    pwa_embed: DownsampleParams
+    jlc_embed: ConvParams
+    pwa_embed: ConvParams
     stages: tuple[StageParams, ...]
     decoder: tuple[DecoderStage, ...]
     final_expand: ConvParams
@@ -311,9 +298,10 @@ def build(cfg: NetworkConfig, seed: int) -> Network:
     c1 = widths[0]
     m_att = cfg.attention_modalities
 
-    modal_mixer = _conv_init(rng, c1, cfg.modalities, 1, groups=1)
-    jlc_embed = _downsample_init(rng, c1, c1, cfg.patch_stride)
-    pwa_embed = _downsample_init(rng, c1, c1 if cfg.early_fusion else 1, cfg.patch_stride)
+    s = cfg.patch_stride
+    modal_mixer = init_conv(rng, c1, cfg.modalities)
+    jlc_embed = init_conv(rng, c1, c1, kernel=s, stride=s)
+    pwa_embed = init_conv(rng, c1, c1 if cfg.early_fusion else 1, kernel=s, stride=s)
 
     stages = []
     for k in range(N_STAGES):
@@ -327,11 +315,11 @@ def build(cfg: NetworkConfig, seed: int) -> Network:
             _build_pwa_block(rng, c, sched, m_att, cfg.n_head[k], cfg.c_min, cfg.expansion_ratios[k])
             for _ in range(cfg.attention_depth[k])
         )
-        fuse_proj = _conv_init(rng, c, c, 1, groups=1)
+        fuse_proj = init_conv(rng, c, c)
         jlc_down = pwa_down = None
         if k < N_STAGES - 1:
-            jlc_down = _downsample_init(rng, widths[k + 1], c, 2)
-            pwa_down = _downsample_init(rng, widths[k + 1], c, 2)
+            jlc_down = init_conv(rng, widths[k + 1], c, kernel=2, stride=2)
+            pwa_down = init_conv(rng, widths[k + 1], c, kernel=2, stride=2)
         stages.append(
             StageParams(
                 schedule=sched,
@@ -347,7 +335,7 @@ def build(cfg: NetworkConfig, seed: int) -> Network:
     for k in (2, 1, 0):
         c_src = widths[k + 1]
         c = widths[k]
-        up_proj = _conv_init(rng, 8 * c_src, c_src, 1, groups=1)
+        up_proj = init_conv(rng, 8 * c_src, c_src)
         blocks = [
             build_jlc_block(
                 rng, c, cfg.group_sizes[k], cfg.expansion_ratios[k], cfg.kernels,
@@ -358,8 +346,8 @@ def build(cfg: NetworkConfig, seed: int) -> Network:
             blocks.append(build_jlc_block(rng, c, cfg.group_sizes[k], cfg.expansion_ratios[k], cfg.kernels))
         decoder.append(DecoderStage(up_proj=up_proj, blocks=tuple(blocks)))
 
-    final_expand = _conv_init(rng, cfg.patch_stride**3 * cfg.head_width, c1, 1, groups=1)
-    head = _conv_init(rng, cfg.num_classes, cfg.head_width, 1, groups=1)
+    final_expand = init_conv(rng, s**3 * cfg.head_width, c1)
+    head = init_conv(rng, cfg.num_classes, cfg.head_width)
 
     return Network(
         config=cfg,
@@ -444,72 +432,11 @@ def _head_forward(net: Network, x: np.ndarray) -> np.ndarray:
     return voxel_shuffle(x.reshape(cfg.num_classes * s**3, *coarse), s)
 
 
-def _iter_conv(p: ConvParams):
-    yield p.weight
-    if p.bias is not None:
-        yield p.bias
-
-
-def _iter_jlc(blk: JlcBlockParams):
-    for b in blk.branches:
-        yield from _iter_conv(b)
-    yield blk.norm_scale
-    yield blk.norm_shift
-    yield blk.ffn_norm_scale
-    yield blk.ffn_norm_shift
-    yield from _iter_conv(blk.ffn_expand)
-    yield from _iter_conv(blk.ffn_project)
-    if blk.mixer is not None:
-        yield from _iter_conv(blk.mixer)
-
-
-def iter_param_arrays(net: Network):
-    """Yield every stored parameter array exactly once."""
-    yield from _iter_conv(net.modal_mixer)
-    for down in (net.jlc_embed, net.pwa_embed):
-        yield down.weight
-        yield down.bias
-    for stage in net.stages:
-        for blk in stage.jlc_blocks:
-            yield from _iter_jlc(blk)
-        for blk in stage.pwa_blocks:
-            attn = blk.attn
-            yield attn.norm_scale
-            yield attn.norm_shift
-            for p in (attn.q_proj, attn.k_proj, attn.v_proj, attn.mixer):
-                yield from _iter_conv(p)
-            yield from attn.pos_bias
-            yield blk.ffn_norm_scale
-            yield blk.ffn_norm_shift
-            yield from _iter_conv(blk.ffn_expand)
-            yield from _iter_conv(blk.ffn_project)
-        yield from _iter_conv(stage.fuse_proj)
-        for down in (stage.jlc_down, stage.pwa_down):
-            if down is not None:
-                yield down.weight
-                yield down.bias
-    for dec in net.decoder:
-        yield from _iter_conv(dec.up_proj)
-        for blk in dec.blocks:
-            yield from _iter_jlc(blk)
-    yield from _iter_conv(net.final_expand)
-    yield from _iter_conv(net.head)
-
-
-def param_count(net: Network) -> int:
-    """Exact number of stored parameter reals."""
-    return sum(a.size for a in iter_param_arrays(net))
-
-
 def _conv_flops(n_voxels: int, p: ConvParams) -> int:
+    """Cost of a conv (stride 1 or patchify) over ``n_voxels`` output voxels."""
     macs = n_voxels * p.c_out * (p.c_in // p.groups) * p.kernel**3
     bias = n_voxels * p.c_out if p.bias is not None else 0
     return 2 * macs + bias
-
-
-def _down_flops(n_out_voxels: int, p: DownsampleParams) -> int:
-    macs = n_out_voxels * p.c_out * p.c_in * p.stride**3
-    return 2 * macs + n_out_voxels * p.c_out
 
 
 def _jlc_block_flops(n_voxels: int, blk: JlcBlockParams) -> int:
@@ -558,8 +485,8 @@ def flop_breakdown(net: Network, extent=None) -> dict[str, int]:
     out = {
         "stem": _conv_flops(n_full, net.modal_mixer)
         + n_full * net.modal_mixer.c_out
-        + _down_flops(prod(stage_ext[0]), net.jlc_embed)
-        + n_streams_in * _down_flops(prod(stage_ext[0]), net.pwa_embed),
+        + _conv_flops(prod(stage_ext[0]), net.jlc_embed)
+        + n_streams_in * _conv_flops(prod(stage_ext[0]), net.pwa_embed),
         "encoder_conv": 0,
         "attention": 0,
         "fusion": 0,
@@ -577,8 +504,8 @@ def flop_breakdown(net: Network, extent=None) -> dict[str, int]:
         out["fusion"] += _conv_flops(n_k, stage.fuse_proj)
         if stage.jlc_down is not None:
             n_next = prod(stage_ext[k + 1])
-            out["downsample"] += _down_flops(n_next, stage.jlc_down)
-            out["downsample"] += m_att * _down_flops(n_next, stage.pwa_down)
+            out["downsample"] += _conv_flops(n_next, stage.jlc_down)
+            out["downsample"] += m_att * _conv_flops(n_next, stage.pwa_down)
     for dec, k in zip(net.decoder, (2, 1, 0)):
         n_src = prod(stage_ext[k + 1])
         n_k = prod(stage_ext[k])

@@ -22,6 +22,7 @@ from .tensor import (
     DTYPE,
     SPATIAL_AXES,
     ConvParams,
+    init_conv,
     layer_norm,
     max_pool3,
     pointwise_conv,
@@ -280,7 +281,6 @@ class PwaParams:
     norm_shift: np.ndarray
     n_head: int
     c_hat: int
-    dropout: float = 0.0
 
     def __post_init__(self):
         for name, p in (("q", self.q_proj), ("k", self.k_proj), ("v", self.v_proj)):
@@ -305,7 +305,6 @@ def pwa_forward(
     *,
     meter: CostMeter | None = None,
     weight_sink: list | None = None,
-    rng: np.random.Generator | None = None,
 ):
     """Full attention layer over M modality tensors of shape [C, D, H, W].
 
@@ -356,17 +355,7 @@ def pwa_forward(
     del qb, kb, vb
 
     scattered = scatter(attended, sched, params.n_head, params.c_hat, modalities)
-    outs = []
-    for e, a in zip(features, scattered):
-        mixed = pointwise_conv(a, params.mixer)
-        if params.dropout > 0.0:
-            if rng is None:
-                raise ConfigError("dropout > 0 requires an rng")
-            keep = 1.0 - params.dropout
-            mask = (rng.random(mixed.shape) < keep).astype(DTYPE) / DTYPE(keep)
-            mixed = mixed * mask
-        outs.append(e + mixed)
-    return outs
+    return [e + pointwise_conv(a, params.mixer) for e, a in zip(features, scattered)]
 
 
 def pwa_flops(extent, sched: WindowSchedule, channels: int, modalities: int = 1) -> int:
@@ -402,25 +391,18 @@ def build_pwa_params(
     modalities: int,
     n_head: int = 1,
     c_min: int = 8,
-    qkv_bias: bool = False,
-    dropout: float = 0.0,
 ) -> PwaParams:
-    """Construct attention weights for a stage (seeded truncated-normal init)."""
-    from .jlc import _trunc_normal  # shared init convention
+    """Construct attention weights for a stage (seeded truncated-normal init).
 
+    The q/k/v projections carry no bias; the mixer does.
+    """
     c_hat = head_channels(channels, c_min, sched.n_win, n_head)
     proj_out = sched.n_win * n_head * c_hat
     seq = modalities * sched.seq_len
-
-    def proj(c_out, c_in, bias):
-        weight = _trunc_normal(rng, (c_out, c_in, 1, 1, 1))
-        b = np.zeros(c_out, dtype=DTYPE) if bias else None
-        return ConvParams(weight=weight, bias=b, groups=1)
-
-    q_proj = proj(proj_out, channels, qkv_bias)
-    k_proj = proj(proj_out, channels, qkv_bias)
-    v_proj = proj(proj_out, channels, qkv_bias)
-    mixer = proj(channels, proj_out, True)
+    q_proj = init_conv(rng, proj_out, channels, bias=False)
+    k_proj = init_conv(rng, proj_out, channels, bias=False)
+    v_proj = init_conv(rng, proj_out, channels, bias=False)
+    mixer = init_conv(rng, channels, proj_out)
     pos_bias = tuple(np.zeros((seq, seq), dtype=DTYPE) for _ in range(sched.n_win))
     return PwaParams(
         q_proj=q_proj,
@@ -432,5 +414,4 @@ def build_pwa_params(
         norm_shift=np.zeros(channels, dtype=DTYPE),
         n_head=n_head,
         c_hat=c_hat,
-        dropout=dropout,
     )

@@ -13,7 +13,7 @@ allocated arrays, never views into mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -49,16 +49,20 @@ def _check_divisible(extent, block, what: str) -> None:
 
 @dataclass(frozen=True)
 class ConvParams:
-    """Weights of a same-padding 3D convolution.
+    """Weights of a 3D convolution.
 
-    ``weight`` has shape [C_out, C_in // groups, k, k, k] with odd cubic
-    kernel k; ``groups`` is the number of channel groups (torch convention:
-    group g's output channels read only group g's input channels).
+    ``weight`` has shape [C_out, C_in // groups, k, k, k].  At ``stride`` 1
+    the kernel k is odd and the conv is same-padded (:func:`conv3d`); at
+    stride s > 1 the kernel equals s and the conv is a non-overlapping
+    patchify (``network.downsample_conv``).  ``groups`` is the number of
+    channel groups (torch convention: group g's output channels read only
+    group g's input channels).
     """
 
     weight: np.ndarray
     bias: np.ndarray | None = None
     groups: int = 1
+    stride: int = 1
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weight, dtype=DTYPE)
@@ -67,8 +71,12 @@ class ConvParams:
             raise ConfigError(f"conv weight must be rank 5, got rank {w.ndim}")
         if not (w.shape[2] == w.shape[3] == w.shape[4]):
             raise ConfigError(f"conv kernel must be cubic, got {w.shape[2:]}")
-        if self.kernel % 2 == 0:
+        if self.stride < 1:
+            raise ConfigError(f"conv stride must be >= 1, got {self.stride}")
+        if self.stride == 1 and self.kernel % 2 == 0:
             raise ConfigError(f"conv kernel must be odd for same padding, got {self.kernel}")
+        if self.stride > 1 and self.kernel != self.stride:
+            raise ConfigError(f"strided conv needs kernel == stride {self.stride}, got kernel {self.kernel}")
         if self.groups <= 0:
             raise ConfigError(f"groups must be positive, got {self.groups}")
         if self.c_out % self.groups != 0:
@@ -92,9 +100,50 @@ class ConvParams:
         return self.weight.shape[2]
 
 
-def conv_param_count(p: ConvParams) -> int:
-    """Number of stored reals: C_out * (C_in/groups) * k^3 plus bias."""
-    return p.weight.size + (0 if p.bias is None else p.bias.size)
+def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
+    """Normal(0, std) samples redrawn until they fall within two deviations."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2.0 * std
+    while np.any(bad):
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * std
+    return out.astype(np.float32)
+
+
+def init_conv(
+    rng: np.random.Generator,
+    c_out: int,
+    c_in_per_group: int,
+    kernel: int = 1,
+    groups: int = 1,
+    bias: bool = True,
+    stride: int = 1,
+) -> ConvParams:
+    """A conv with truncated-normal weights (sigma 0.02) and a zero bias (or none)."""
+    weight = _trunc_normal(rng, (c_out, c_in_per_group, kernel, kernel, kernel))
+    b = np.zeros(c_out, dtype=DTYPE) if bias else None
+    return ConvParams(weight=weight, bias=b, groups=groups, stride=stride)
+
+
+def param_arrays(obj):
+    """Yield every array reachable from ``obj`` through dataclass fields and tuples.
+
+    Parameter bundles hold only parameters as arrays, so this walks the
+    stored parameters of a conv, a block or a whole network, in field order.
+    """
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from param_arrays(item)
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from param_arrays(getattr(obj, f.name))
+
+
+def param_count(obj) -> int:
+    """Exact number of stored parameter reals in ``obj``."""
+    return sum(a.size for a in param_arrays(obj))
 
 
 def conv3d(x: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -105,6 +154,8 @@ def conv3d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """
     if x.ndim != 4:
         raise ShapeError(f"conv3d input must be rank 4 [C, D, H, W], got rank {x.ndim}")
+    if p.stride != 1:
+        raise ConfigError(f"conv3d runs stride-1 convs only, got stride {p.stride}")
     c_in, d, h, w = x.shape
     if c_in != p.c_in:
         raise ConfigError(f"input has {c_in} channels, conv expects {p.c_in}")

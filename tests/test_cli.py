@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,48 @@ class TestForwardPipeline:
             "--output", str(tmp_path / "out.vxs"),
         ])
         assert code == 2
+
+
+def run_cli_process(*argv):
+    """Run ``python -m pwseg.cli`` in a fresh process; returns (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pwseg.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pwseg.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    return done.returncode, done.stderr
+
+
+class TestErrorExit:
+    """A pwseg.errors failure exits 2 with one ``error:`` line, never a traceback."""
+
+    def test_nan_volume_forward(self, tmp_path, tiny_config_path):
+        # write refuses NaN, so write zeros and set the last payload float by hand
+        path = tmp_path / "nan.vxs"
+        volume_io.write(path, np.zeros((2, 1, 32, 32, 32), dtype=np.float32))
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(blob))
+        code, err = run_cli_process(
+            "forward", "--config", tiny_config_path,
+            "--input", str(tmp_path / "nan.vxs"), "--output", str(tmp_path / "out.vxs"),
+        )
+        assert code == 2
+        assert err.startswith("error:") and "non-finite" in err
+        assert "Traceback" not in err
+
+    def test_mistyped_config_field(self, tmp_path):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(dict(TINY_CONFIG, modalities="2")))
+        code, err = run_cli_process("flops", "--config", str(cfg_path))
+        assert code == 2
+        assert err.startswith("error:") and "'modalities'" in err
+        assert "Traceback" not in err
+
+
+def test_every_export_resolves():
+    """No name in ``pwseg.__all__`` is left behind by a deletion."""
+    for name in pwseg.__all__:
+        assert getattr(pwseg, name) is not None, name
 
 
 class TestSdktLoss:

@@ -9,9 +9,8 @@ from pwseg.jlc import (
     branch_channel_split,
     build_jlc_block,
     jlc_forward,
-    jlc_param_count,
 )
-from pwseg.tensor import ConvParams, conv_param_count
+from pwseg.tensor import ConvParams, param_count
 
 from test_tensor import direct_conv3d
 
@@ -181,9 +180,9 @@ class TestForward:
 class TestParamCount:
     def test_single_branch_closed_forms(self):
         depthwise = ConvParams(weight=np.ones((8, 1, 1, 1, 1), dtype=np.float32), groups=8)
-        assert conv_param_count(depthwise) == 8
+        assert param_count(depthwise) == 8
         dense = ConvParams(weight=np.ones((8, 8, 3, 3, 3), dtype=np.float32), groups=1)
-        assert conv_param_count(dense) == 1728
+        assert param_count(dense) == 1728
 
     def test_block_count_matches_hand_count(self):
         """Full stage-1 block (C=16, group 4, expansion 3) against a symbolic count."""
@@ -193,7 +192,7 @@ class TestParamCount:
         branches = 8 * 4 * 1 + 4 * 4 * 27 + 4 * 4 * 125 + 16  # weights + biases
         norms = 2 * 16 + 2 * 16
         ffn = (48 * 16 + 48) + (16 * 48 + 16)
-        assert jlc_param_count(block) == branches + norms + ffn
+        assert param_count(block) == branches + norms + ffn
 
     def test_count_equals_stored_reals(self):
         rng = np.random.default_rng(7)
@@ -204,14 +203,14 @@ class TestParamCount:
         stored += block.ffn_expand.weight.size + block.ffn_expand.bias.size
         stored += block.ffn_project.weight.size + block.ffn_project.bias.size
         stored += block.mixer.weight.size + block.mixer.bias.size
-        assert jlc_param_count(block) == stored
+        assert param_count(block) == stored
 
     def test_group_monotonicity(self):
         """Grouped weight count is exactly 1/groups of the dense count."""
         dense = ConvParams(weight=np.ones((8, 8, 3, 3, 3), dtype=np.float32), groups=1)
         for g in (2, 4, 8):
             grouped = ConvParams(weight=np.ones((8, 8 // g, 3, 3, 3), dtype=np.float32), groups=g)
-            assert conv_param_count(grouped) * g == conv_param_count(dense)
+            assert param_count(grouped) * g == param_count(dense)
 
     def test_build_determinism(self):
         a = build_jlc_block(np.random.default_rng(11), 16, 4, expansion=3)

@@ -10,7 +10,6 @@ import pytest
 from pwseg import network
 from pwseg.errors import ConfigError, NonFiniteError, ShapeError
 from pwseg.network import (
-    DownsampleParams,
     NetworkConfig,
     attention_stage_flops,
     build,
@@ -19,12 +18,11 @@ from pwseg.network import (
     downsample_conv,
     flop_breakdown,
     forward,
-    iter_param_arrays,
     param_count,
     total_flops,
 )
 from pwseg.pwa import pwa_flops
-from pwseg.tensor import ConvParams, pointwise_conv, voxel_shuffle
+from pwseg.tensor import ConvParams, param_arrays, pointwise_conv, voxel_shuffle
 
 SMALL = NetworkConfig(input_extent=(32, 32, 32), conv_depth=(1, 1, 1, 1))
 
@@ -87,14 +85,14 @@ class TestBuild:
     def test_deterministic(self):
         a = build(SMALL, seed=42)
         b = build(SMALL, seed=42)
-        for pa, pb in zip(iter_param_arrays(a), iter_param_arrays(b)):
+        for pa, pb in zip(param_arrays(a), param_arrays(b)):
             np.testing.assert_array_equal(pa, pb)
 
     def test_seed_changes_weights(self):
         a = build(SMALL, seed=1)
         b = build(SMALL, seed=2)
         assert any(
-            not np.array_equal(pa, pb) for pa, pb in zip(iter_param_arrays(a), iter_param_arrays(b))
+            not np.array_equal(pa, pb) for pa, pb in zip(param_arrays(a), param_arrays(b))
         )
 
     def test_default_config_param_envelope(self):
@@ -223,7 +221,7 @@ class TestFastPaths:
     @pytest.mark.parametrize("c_in", [1, 16, 32])
     def test_downsample_matches_row_major(self, stride, c_in):
         rng = np.random.default_rng(10 * stride + c_in)
-        p = DownsampleParams(
+        p = ConvParams(
             weight=rng.standard_normal((24, c_in, stride, stride, stride)).astype(np.float32),
             bias=rng.standard_normal(24).astype(np.float32),
             stride=stride,
@@ -254,17 +252,38 @@ class TestFastPaths:
         np.testing.assert_array_equal(fast, forward(net, vols))
 
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ConvParams(weight=np.ones((4, 1, 1, 1, 1), dtype=np.float32), groups=4),
+            ConvParams(weight=np.ones((4, 4, 3, 3, 3), dtype=np.float32)),
+        ],
+        ids=["grouped", "stride1_kernel3"],
+    )
+    def test_downsample_rejects_non_patchify_conv(self, p):
+        with pytest.raises(ConfigError, match="kernel == stride"):
+            downsample_conv(np.zeros((4, 8, 8, 8), dtype=np.float32), p)
+
+
 class TestCounting:
+    @pytest.mark.parametrize(
+        "cfg",
+        [NetworkConfig(), NetworkConfig(modalities=4, early_fusion=True)],
+        ids=["default", "m4_early_fusion"],
+    )
+    def test_param_walk_yields_each_array_once(self, cfg):
+        arrays = list(param_arrays(build(cfg, seed=0)))
+        assert len({id(a) for a in arrays}) == len(arrays)
+
     def test_pointwise_conv_closed_form(self):
         """Single 16->16 pointwise conv over 24^3: the documented cost identity."""
         from pwseg.network import _conv_flops
-        from pwseg.tensor import conv_param_count
 
         p = ConvParams(
             weight=np.zeros((16, 16, 1, 1, 1), dtype=np.float32),
             bias=np.zeros(16, dtype=np.float32),
         )
-        assert conv_param_count(p) == 16 * 16 + 16
+        assert param_count(p) == 16 * 16 + 16
         n = 24**3
         assert _conv_flops(n, p) == 2 * 16 * 16 * n + 16 * n
 

@@ -7,7 +7,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from pwseg.errors import ConfigError, ScheduleError, ShapeError
+from pwseg.errors import ScheduleError, ShapeError
 from pwseg.jl import head_channels
 from pwseg.pwa import (
     CostMeter,
@@ -298,18 +298,6 @@ class TestPwaForward:
         want = dense_attention_oracle(feats, params, extent)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, atol=1e-5)
-
-    def test_dropout_requires_rng_and_perturbs(self):
-        rng = np.random.default_rng(12)
-        sched = window_schedule((4, 4, 4), (2, 2, 2))
-        params = random_params(rng, 8, sched, 1)
-        feats = [rng.standard_normal((8, 4, 4, 4)).astype(np.float32)]
-        dropped = replace(params, dropout=0.5)
-        with pytest.raises(ConfigError):
-            pwa_forward(feats, dropped, sched)
-        out_a = pwa_forward(feats, params, sched)[0]
-        out_b = pwa_forward(feats, dropped, sched, rng=np.random.default_rng(0))[0]
-        assert np.all(np.isfinite(out_b)) and not np.array_equal(out_a, out_b)
 
     def test_extent_mismatch(self):
         rng = np.random.default_rng(13)

@@ -12,11 +12,11 @@ from pwseg.tensor import (
     GELU_BLOCK,
     ConvParams,
     conv3d,
-    conv_param_count,
     gelu,
     instance_norm,
     layer_norm,
     max_pool3,
+    param_count,
     pointwise_conv,
     require_finite,
     softmax_rows,
@@ -192,11 +192,29 @@ class TestConv3d:
         with pytest.raises(ConfigError):
             ConvParams(weight=np.ones((2, 2, 2, 2, 2), dtype=np.float32))
 
+    def test_stride_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="stride"):
+            ConvParams(weight=np.ones((2, 2, 1, 1, 1), dtype=np.float32), stride=0)
+
+    def test_strided_kernel_must_equal_stride(self):
+        with pytest.raises(ConfigError, match="kernel == stride"):
+            ConvParams(weight=np.ones((2, 2, 3, 3, 3), dtype=np.float32), stride=2)
+
+    def test_conv3d_rejects_strided(self):
+        p = ConvParams(weight=np.ones((2, 2, 2, 2, 2), dtype=np.float32), stride=2)
+        with pytest.raises(ConfigError, match="stride"):
+            conv3d(np.zeros((2, 4, 4, 4), dtype=np.float32), p)
+
+    def test_pointwise_rejects_strided(self):
+        p = ConvParams(weight=np.ones((2, 2, 2, 2, 2), dtype=np.float32), stride=2)
+        with pytest.raises(ConfigError):
+            pointwise_conv(np.zeros((2, 4, 4, 4), dtype=np.float32), p)
+
     def test_param_count(self):
         p1 = ConvParams(weight=np.ones((8, 1, 1, 1, 1), dtype=np.float32), groups=8)
-        assert conv_param_count(p1) == 8
+        assert param_count(p1) == 8
         p2 = ConvParams(weight=np.ones((8, 8, 3, 3, 3), dtype=np.float32), groups=1)
-        assert conv_param_count(p2) == 8 * 8 * 27
+        assert param_count(p2) == 8 * 8 * 27
 
     def test_finite_outputs(self):
         rng = np.random.default_rng(9)
