@@ -74,10 +74,18 @@ def mad(inp: MadInput) -> float:
     z = idx // (h * ww)
     y = (idx % (h * ww)) // ww
     x = idx % ww
-    coords = np.stack([x, y, z], axis=1).astype(np.float64)
-    deltas = coords[:, None, :] - coords[None, :, :]
-    dist = inp.spacing * np.sqrt((deltas * deltas).sum(axis=2))
-    return float((w * dist).sum() / l)
+    # Squared distance summed one axis at a time into one L x L buffer; the
+    # coordinates are integers, so every partial sum is exact.
+    dist = np.zeros((l, l))
+    delta = np.empty((l, l))
+    for c in (x, y, z):
+        np.subtract.outer(c, c, out=delta)
+        delta *= delta
+        dist += delta
+    np.sqrt(dist, out=dist)
+    dist *= inp.spacing
+    dist *= w
+    return float(dist.sum() / l)
 
 
 def dice(pred: np.ndarray, gt: np.ndarray) -> float:

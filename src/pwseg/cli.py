@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .errors import PwsegError, ShapeError
+from .errors import ConfigError, PwsegError, ShapeError
 
 BLAS_THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -54,8 +54,12 @@ def _triple(text: str) -> tuple[int, int, int]:
 def _load_config(path: str):
     from .network import config_from_dict
 
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return config_from_dict(payload)
 
 
 def _cmd_plan_groups(args) -> int:

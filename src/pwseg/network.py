@@ -87,8 +87,8 @@ class NetworkConfig:
 
 
 _TRIPLE_TUPLE_FIELDS = {"big_window_minima", "small_window_minima"}
-_TRIPLE_FIELDS = {"input_extent"}
 _INT_TUPLE_FIELDS = {
+    "input_extent",
     "stage_widths",
     "group_sizes",
     "kernels",
@@ -123,8 +123,10 @@ def config_from_dict(payload: dict) -> NetworkConfig:
 
     Raises ConfigError naming the field on an unknown field, a bool field
     that is not a JSON bool, or an integer field holding a bool, a string
-    or a non-integral number.
+    or a non-integral number, and when ``payload`` is not a JSON object.
     """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(payload).__name__}")
     fields = NetworkConfig.__dataclass_fields__
     unknown = set(payload) - set(fields)
     if unknown:
@@ -132,7 +134,7 @@ def config_from_dict(payload: dict) -> NetworkConfig:
     coerced = {}
     for key, value in payload.items():
         default = fields[key].default
-        if key in _INT_TUPLE_FIELDS or key in _TRIPLE_FIELDS:
+        if key in _INT_TUPLE_FIELDS:
             coerced[key] = _ints(key, value)
         elif key in _TRIPLE_TUPLE_FIELDS:
             coerced[key] = tuple(_ints(key, triple) for triple in _seq(key, value))
@@ -191,6 +193,10 @@ def validate_config(cfg: NetworkConfig) -> None:
             raise ConfigError(f"stage {k + 1}: expansion ratio and head count must be >= 1")
         if cfg.attention_depth[k] < 0 or cfg.conv_depth[k] < 0:
             raise ConfigError(f"stage {k + 1}: block depths must be non-negative")
+        for name in ("big_window_minima", "small_window_minima"):
+            entry = getattr(cfg, name)[k]
+            if not isinstance(entry, (tuple, list)) or len(entry) != 3:
+                raise ConfigError(f"stage {k + 1}: {name} entry {entry!r} must be a (D, H, W) triple")
     check_extent(cfg.input_extent, cfg.cumulative_strides[-1])
     for k in range(N_STAGES):
         try:

@@ -3,9 +3,10 @@
 A schedule is an ordered list of (big, small) window pairs that expand
 synchronously by a rate r.  Partitioning by the big window and max-pooling by
 the small window turns every pair into the same number of tokens per window,
-so attention over all scales and modalities runs as one batched call.  The
-last big window always equals the full feature extent, which is what makes
-the pair count a log of the extent.
+so one gathered batch holds every scale and modality.  Attention runs once
+per pair over that batch's slice, because each pair has its own position-bias
+table.  The last big window always equals the full feature extent, which is
+what makes the pair count a log of the extent.
 """
 
 from __future__ import annotations
@@ -129,12 +130,13 @@ def fit_big_window(extent, minimum, r: int = 2) -> tuple[int, int, int]:
 
 
 def gather(xs, sched: WindowSchedule, n_head: int, c_hat: int) -> np.ndarray:
-    """Window-partition, pool, flatten and modality-concatenate projections.
+    """Pool, window-partition, flatten and modality-concatenate projections.
 
     Each of the M input tensors carries n_win * n_head * c_hat channels laid
-    out pair-major then head-major.  Pair i's channel slice is partitioned by
-    big window i, max-pooled by small window i and flattened to L tokens; the
-    M modality sequences concatenate along the token axis (modality-major).
+    out pair-major then head-major.  Pair i's channel slice is max-pooled by
+    small window i, then partitioned into the token grid of big window i and
+    flattened to L tokens; the M modality sequences concatenate along the
+    token axis (modality-major).
     Returns [sum_i n_i, n_head, c_hat, M*L] ordered pair-major then
     window-lexicographic.
     """
@@ -150,32 +152,25 @@ def gather(xs, sched: WindowSchedule, n_head: int, c_hat: int) -> np.ndarray:
         if x.shape[1:] != sched.extent:
             raise ShapeError(f"modality {m}: extent {x.shape[1:]} != schedule extent {sched.extent}")
     seq_len = sched.seq_len
-    parts = []
-    for i, (big, small) in enumerate(sched.pairs):
-        per_mod = []
-        for x in xs:
-            chans = x[i * per_pair : (i + 1) * per_pair]
-            wins = window_partition(chans, big)
-            pooled = max_pool3(wins, small)
-            per_mod.append(pooled.reshape(pooled.shape[0], n_head, c_hat, seq_len))
-        parts.append(np.concatenate(per_mod, axis=3))
-    return np.concatenate(parts, axis=0)
-
-
-def _broadcast_tokens(tokens: np.ndarray, small) -> np.ndarray:
-    """Expand each token value across its small window (unpooling surrogate)."""
-    n, c, td, th, tw = tokens.shape
-    sd, sh, sw = small
-    view = tokens[:, :, :, None, :, None, :, None]
-    out = np.broadcast_to(view, (n, c, td, sd, th, sh, tw, sw))
-    return np.ascontiguousarray(out).reshape(n, c, td * sd, th * sh, tw * sw)
+    counts = sched.window_counts()
+    out = np.empty((sum(counts), n_head, c_hat, len(xs) * seq_len), dtype=xs[0].dtype)
+    offset = 0
+    for i, ((_, small), n_i) in enumerate(zip(sched.pairs, counts)):
+        rows = out[offset : offset + n_i]
+        offset += n_i
+        for m, x in enumerate(xs):
+            pooled = max_pool3(x[i * per_pair : (i + 1) * per_pair], small)
+            tokens = window_partition(pooled, sched.tokens_per_axis)
+            rows[..., m * seq_len : (m + 1) * seq_len] = tokens.reshape(n_i, n_head, c_hat, seq_len)
+    return out
 
 
 def scatter(batch: np.ndarray, sched: WindowSchedule, n_head: int, c_hat: int, modalities: int):
     """Inverse of :func:`gather`: place attended tokens back into volumes.
 
-    Token values broadcast across their small windows, so gather(scatter(a))
-    reproduces ``a`` exactly for any schedule.  Returns one
+    Tokens merge into the pooled grid of their pair, then each value is
+    repeated across its small window, so gather(scatter(a)) reproduces
+    ``a`` exactly for any schedule.  Returns one
     [n_win * n_head * c_hat, D, H, W] tensor per modality.
     """
     counts = sched.window_counts()
@@ -185,19 +180,19 @@ def scatter(batch: np.ndarray, sched: WindowSchedule, n_head: int, c_hat: int, m
     if batch.shape != expected:
         raise ShapeError(f"sequence batch shape {batch.shape} != expected {expected}")
     td, th, tw = sched.tokens_per_axis
-    outs = [
-        np.empty((sched.n_win * per_pair, *sched.extent), dtype=batch.dtype)
-        for _ in range(modalities)
-    ]
+    d, h, w = sched.extent
+    outs = [np.empty((sched.n_win * per_pair, d, h, w), dtype=batch.dtype) for _ in range(modalities)]
     offset = 0
-    for i, ((big, small), n_i) in enumerate(zip(sched.pairs, counts)):
+    for i, ((_, (sd, sh, sw)), n_i) in enumerate(zip(sched.pairs, counts)):
         blk = batch[offset : offset + n_i]
         offset += n_i
         for m in range(modalities):
-            seq = blk[..., m * seq_len : (m + 1) * seq_len]
-            tokens = np.ascontiguousarray(seq).reshape(n_i, per_pair, td, th, tw)
-            full = _broadcast_tokens(tokens, small)
-            outs[m][i * per_pair : (i + 1) * per_pair] = window_merge(full, sched.extent)
+            tokens = blk[..., m * seq_len : (m + 1) * seq_len].reshape(n_i, per_pair, td, th, tw)
+            grid = window_merge(tokens, (d // sd, h // sh, w // sw))
+            # repeat each token over its small window through a blocked view of the output
+            dst = outs[m][i * per_pair : (i + 1) * per_pair]
+            dst = dst.reshape(per_pair, d // sd, sd, h // sh, sh, w // sw, sw)
+            dst[...] = grid[:, :, None, :, None, :, None]
     return outs
 
 
@@ -207,16 +202,13 @@ class CostMeter:
 
     Each big window of T tokens at reference width C is charged 4*T*C*C for
     the query/key/value/mixer projections and 2*T*T*C for the two attention
-    matrix products.
+    matrix products; ``pwa_forward`` charges every window of a pair at once.
     """
 
     multiplies: int = 0
 
-    def charge_projection(self, windows: int, tokens: int, width: int) -> None:
-        self.multiplies += windows * 4 * tokens * width * width
-
-    def charge_attention(self, windows: int, tokens: int, width: int) -> None:
-        self.multiplies += windows * 2 * tokens * tokens * width
+    def charge(self, windows: int, tokens: int, width: int) -> None:
+        self.multiplies += windows * (4 * tokens * width * width + 2 * tokens * tokens * width)
 
 
 def grouped_attention(
@@ -225,8 +217,6 @@ def grouped_attention(
     v: np.ndarray,
     pos_bias: np.ndarray,
     *,
-    meter: CostMeter | None = None,
-    cost_width: int | None = None,
     weight_sink: list | None = None,
 ) -> np.ndarray:
     """Scaled dot-product attention over a batch of gathered windows.
@@ -258,8 +248,6 @@ def grouped_attention(
         if weight_sink is not None:
             weight_sink.append(weights)
         out[start:stop] = v[start:stop] @ np.swapaxes(weights, 2, 3)
-    if meter is not None:
-        meter.charge_attention(n, tokens, cost_width if cost_width is not None else n_head * c_hat)
     return out
 
 
@@ -333,24 +321,13 @@ def pwa_forward(
     vb = gather(vs, sched, params.n_head, params.c_hat)
     del qs, ks, vs
 
-    counts = sched.window_counts()
-    tokens = modalities * sched.seq_len
-    width = params.channels
     attended = np.empty_like(qb)
     offset = 0
-    for i, n_i in enumerate(counts):
+    for i, n_i in enumerate(sched.window_counts()):
         if meter is not None:
-            meter.charge_projection(n_i, tokens, width)
+            meter.charge(n_i, modalities * sched.seq_len, params.channels)
         sl = slice(offset, offset + n_i)
-        attended[sl] = grouped_attention(
-            qb[sl],
-            kb[sl],
-            vb[sl],
-            params.pos_bias[i],
-            meter=meter,
-            cost_width=width,
-            weight_sink=weight_sink,
-        )
+        attended[sl] = grouped_attention(qb[sl], kb[sl], vb[sl], params.pos_bias[i], weight_sink=weight_sink)
         offset += n_i
     del qb, kb, vb
 

@@ -12,6 +12,7 @@ allocated arrays, never views into mutable state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, is_dataclass
 
@@ -161,47 +162,24 @@ def conv3d(x: np.ndarray, p: ConvParams) -> np.ndarray:
         raise ConfigError(f"input has {c_in} channels, conv expects {p.c_in}")
     if c_in % p.groups != 0:
         raise ConfigError(f"input channels {c_in} not divisible by groups {p.groups}")
-    k = p.kernel
-    if k == 1:
-        return _conv_k1(x, p)
-    pad = k // 2
-    xp = np.zeros((c_in, d + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=DTYPE)
-    xp[:, pad : pad + d, pad : pad + h, pad : pad + w] = x
-
-    cig = c_in // p.groups
-    cog = p.c_out // p.groups
-    n = d * h * w
-    out = np.empty((p.c_out, n), dtype=DTYPE)
-    for g in range(p.groups):
-        xg = xp[g * cig : (g + 1) * cig]
-        wg = p.weight[g * cog : (g + 1) * cog]
-        acc = np.zeros((cog, n), dtype=DTYPE)
-        for dz in range(k):
-            for dy in range(k):
-                for dx in range(k):
-                    patch = xg[:, dz : dz + d, dy : dy + h, dx : dx + w].reshape(cig, n)
-                    acc += wg[:, :, dz, dy, dx] @ patch
-        out[g * cog : (g + 1) * cog] = acc
-    out = out.reshape(p.c_out, d, h, w)
-    if p.bias is not None:
-        out += p.bias[:, None, None, None]
-    return out
-
-
-def _conv_k1(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    c_in = x.shape[0]
-    spatial = x.shape[1:]
-    cig = c_in // p.groups
-    cog = p.c_out // p.groups
-    flat = x.reshape(c_in, -1)
-    if p.groups == 1:
-        out = p.weight.reshape(p.c_out, c_in) @ flat
+    k, g = p.kernel, p.groups
+    if k > 1:
+        pad = k // 2
+        xp = np.zeros((c_in, d + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=DTYPE)
+        xp[:, pad : pad + d, pad : pad + h, pad : pad + w] = x
     else:
-        out = np.empty((p.c_out, flat.shape[1]), dtype=DTYPE)
-        for g in range(p.groups):
-            wg = p.weight[g * cog : (g + 1) * cog, :, 0, 0, 0]
-            out[g * cog : (g + 1) * cog] = wg @ flat[g * cig : (g + 1) * cig]
-    out = out.reshape(p.c_out, *spatial)
+        xp = x
+    n = d * h * w
+    # [groups, C_out/g, C_in/g, k, k, k]: each tap is one stacked matmul over all groups
+    wg = p.weight.reshape(g, p.c_out // g, c_in // g, k, k, k)
+    out = np.empty((g, p.c_out // g, n), dtype=DTYPE)
+    for dz, dy, dx in itertools.product(range(k), repeat=3):
+        patch = xp[:, dz : dz + d, dy : dy + h, dx : dx + w].reshape(g, c_in // g, n)
+        if dz == dy == dx == 0:
+            np.matmul(wg[..., dz, dy, dx], patch, out=out)
+        else:
+            out += wg[..., dz, dy, dx] @ patch
+    out = out.reshape(p.c_out, d, h, w)
     if p.bias is not None:
         out += p.bias[:, None, None, None]
     return out
@@ -255,8 +233,6 @@ def max_pool3(x: np.ndarray, pool) -> np.ndarray:
     sd, sh, sw = pool
     *lead, d, h, w = x.shape
     _check_divisible((d, h, w), pool, "pool")
-    if sd == sh == sw == 1:
-        return x.copy()
     x7 = x.reshape(*lead, d // sd, sd, h // sh, sh, w // sw, sw)
     nlead = len(lead)
     return x7.max(axis=(nlead + 1, nlead + 3, nlead + 5))
@@ -269,20 +245,21 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Normalize over the channel axis (axis 0) per voxel, then scale/shift."""
-    mu = x.mean(axis=0)
-    var = x.var(axis=0)
+def _normalize(x, axis, scale, shift, eps):
+    mu = x.mean(axis=axis, keepdims=True)
+    var = x.var(axis=axis, keepdims=True)
     xn = (x - mu) / np.sqrt(var + eps)
     return (xn * scale[:, None, None, None] + shift[:, None, None, None]).astype(DTYPE)
+
+
+def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Normalize over the channel axis (axis 0) per voxel, then scale/shift."""
+    return _normalize(x, 0, scale, shift, eps)
 
 
 def instance_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Normalize each channel over its spatial extent, then scale/shift."""
-    mu = x.mean(axis=(1, 2, 3), keepdims=True)
-    var = x.var(axis=(1, 2, 3), keepdims=True)
-    xn = (x - mu) / np.sqrt(var + eps)
-    return (xn * scale[:, None, None, None] + shift[:, None, None, None]).astype(DTYPE)
+    return _normalize(x, (1, 2, 3), scale, shift, eps)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

@@ -60,6 +60,21 @@ class TestMad:
             inp = MadInput(w, grid, spacing=1.25)
             np.testing.assert_allclose(mad(inp), brute_force_mad(w, grid, 1.25), rtol=1e-12)
 
+    def test_bit_identical_to_delta_tensor_expression(self):
+        """The per-axis accumulation equals the earlier L x L x 3 delta-tensor expression exactly."""
+        rng = np.random.default_rng(4)
+        grid = (6, 6, 6)
+        l = 216
+        w = rng.random((l, l))
+        w /= w.sum(axis=1, keepdims=True)
+        idx = np.arange(l)
+        coords = np.stack([idx % 6, (idx % 36) // 6, idx // 36], axis=1).astype(np.float64)
+        for spacing in (1.0, 0.7):
+            deltas = coords[:, None, :] - coords[None, :, :]
+            dist = spacing * np.sqrt((deltas * deltas).sum(axis=2))
+            want = float((w * dist).sum() / l)
+            assert mad(MadInput(w, grid, spacing=spacing)) == want
+
     def test_bounded_by_diameter(self):
         rng = np.random.default_rng(1)
         grid = (3, 3, 3)

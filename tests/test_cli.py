@@ -129,6 +129,23 @@ class TestErrorExit:
         assert err.startswith("error:") and "non-finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("missing.json", None, "cannot read config"),
+            ("truncated.json", '{"input_extent": [32, 32', "cannot read config"),
+            ("list.json", "[1, 2]", "JSON object"),
+        ],
+    )
+    def test_unreadable_config_file(self, tmp_path, name, text, message):
+        cfg_path = tmp_path / name
+        if text is not None:
+            cfg_path.write_text(text)
+        code, err = run_cli_process("flops", "--config", str(cfg_path))
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
     def test_mistyped_config_field(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(TINY_CONFIG, modalities="2")))

@@ -20,6 +20,7 @@ from pwseg.network import (
     forward,
     param_count,
     total_flops,
+    validate_config,
 )
 from pwseg.pwa import pwa_flops
 from pwseg.tensor import ConvParams, param_arrays, pointwise_conv, voxel_shuffle
@@ -340,11 +341,25 @@ class TestConfigJson:
             ({"stage_widths": [16, 32, "64", 128]}, "stage_widths"),
             ({"input_extent": 96}, "input_extent"),
             ({"big_window_minima": [[3, 3, 3], [6, 6.5, 6], [3, 3, 3], [3, 3, 3]]}, "big_window_minima"),
+            ([1, 2], "JSON object"),
         ],
     )
     def test_mistyped_field_named(self, payload, field):
         with pytest.raises(ConfigError, match=field):
             config_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, entry", [("small_window_minima", [1, 1, 1, 1]), ("big_window_minima", [3, 3])]
+    )
+    def test_window_minima_entries_must_be_triples(self, field, entry):
+        """Too long or too short an entry fails validation, naming the stage and field."""
+        minima = [list(t) for t in getattr(SMALL, field)]
+        minima[2] = entry
+        cfg = config_from_dict({"input_extent": [32, 32, 32], field: minima})
+        with pytest.raises(ConfigError, match=f"stage 3: {field}"):
+            validate_config(cfg)
+        with pytest.raises(ConfigError, match=field):
+            build(cfg, seed=0)
 
     def test_integral_numbers_accepted(self):
         cfg = config_from_dict({"num_classes": 3.0, "early_fusion": False})

@@ -20,7 +20,7 @@ from pwseg.pwa import (
     scatter,
     window_schedule,
 )
-from pwseg.tensor import ConvParams
+from pwseg.tensor import ConvParams, max_pool3, window_merge, window_partition
 
 
 def random_params(rng, channels, sched, modalities, n_head=1, c_min=4, scale=0.5):
@@ -88,6 +88,80 @@ def dense_attention_oracle(feats, params, extent):
         mixed = w_m @ out[:, m * seq : (m + 1) * seq] + b_m[:, None]
         results.append(e + mixed.reshape(channels, *extent))
     return results
+
+
+def partition_then_pool_gather(xs, sched, n_head, c_hat):
+    """The earlier gather: partition by the big window at full resolution, then pool."""
+    per_pair = n_head * c_hat
+    parts = []
+    for i, (big, small) in enumerate(sched.pairs):
+        per_mod = []
+        for x in xs:
+            pooled = max_pool3(window_partition(x[i * per_pair : (i + 1) * per_pair], big), small)
+            per_mod.append(pooled.reshape(pooled.shape[0], n_head, c_hat, sched.seq_len))
+        parts.append(np.concatenate(per_mod, axis=3))
+    return np.concatenate(parts, axis=0)
+
+
+def broadcast_then_merge_scatter(batch, sched, n_head, c_hat, modalities):
+    """The earlier scatter: broadcast tokens to full-size windows, then merge them."""
+    per_pair = n_head * c_hat
+    seq_len = sched.seq_len
+    outs = [np.empty((sched.n_win * per_pair, *sched.extent), dtype=batch.dtype) for _ in range(modalities)]
+    offset = 0
+    for i, ((big, small), n_i) in enumerate(zip(sched.pairs, sched.window_counts())):
+        blk = batch[offset : offset + n_i]
+        offset += n_i
+        for m in range(modalities):
+            tokens = np.ascontiguousarray(blk[..., m * seq_len : (m + 1) * seq_len])
+            td, th, tw = sched.tokens_per_axis
+            view = tokens.reshape(n_i, per_pair, td, th, tw)[:, :, :, None, :, None, :, None]
+            full = np.broadcast_to(view, (n_i, per_pair, td, small[0], th, small[1], tw, small[2]))
+            full = np.ascontiguousarray(full).reshape(n_i, per_pair, *big)
+            outs[m][i * per_pair : (i + 1) * per_pair] = window_merge(full, sched.extent)
+    return outs
+
+
+# (extent, big1, small1): anisotropic small windows, one to three pairs
+POOLED_SCHEDULES = [
+    ((16, 8, 32), (4, 2, 8), (2, 1, 4)),
+    ((12, 6, 6), (6, 3, 3), (3, 1, 3)),
+    ((8, 8, 8), (2, 2, 2), (1, 1, 1)),
+    ((4, 8, 2), (4, 8, 2), (1, 2, 2)),
+]
+
+
+class TestTokenResolutionPaths:
+    """Pool-first gather and token-resolution scatter equal the full-resolution paths bit for bit."""
+
+    @pytest.mark.parametrize("extent, big1, small1", POOLED_SCHEDULES)
+    @pytest.mark.parametrize("modalities", [1, 2, 4])
+    def test_gather_matches_partition_then_pool(self, extent, big1, small1, modalities):
+        rng = np.random.default_rng(modalities * 31 + extent[0])
+        sched = window_schedule(extent, big1, small1)
+        n_head, c_hat = 2, 3
+        xs = [
+            rng.standard_normal((sched.n_win * n_head * c_hat, *extent)).astype(np.float32)
+            for _ in range(modalities)
+        ]
+        np.testing.assert_array_equal(
+            gather(xs, sched, n_head, c_hat), partition_then_pool_gather(xs, sched, n_head, c_hat)
+        )
+
+    @pytest.mark.parametrize("extent, big1, small1", POOLED_SCHEDULES)
+    @pytest.mark.parametrize("modalities", [1, 2, 4])
+    def test_scatter_matches_broadcast_then_merge(self, extent, big1, small1, modalities):
+        rng = np.random.default_rng(modalities * 37 + extent[1])
+        sched = window_schedule(extent, big1, small1)
+        n_head, c_hat = 2, 3
+        batch = rng.standard_normal(
+            (sum(sched.window_counts()), n_head, c_hat, modalities * sched.seq_len)
+        ).astype(np.float32)
+        got = scatter(batch, sched, n_head, c_hat, modalities)
+        want = broadcast_then_merge_scatter(batch, sched, n_head, c_hat, modalities)
+        assert len(got) == modalities
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestWindowSchedule:

@@ -1,0 +1,31 @@
+"""Smoke tests: the experiment scripts run against the current API."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pwseg
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(pwseg.__file__).resolve().parents[1]), OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_reproduce_tables():
+    done = run_script("reproduce_tables.py")
+    assert done.returncode == 0, done.stderr
+    assert "Window schedules" in done.stdout and "Traceback" not in done.stderr
+
+
+def test_run_bench():
+    done = run_script("run_bench.py", "--extent", "32x32x32", "--iters", "1", "--warmup", "1")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["extent"] == [32, 32, 32] and report["patches_per_second"] > 0

@@ -51,6 +51,45 @@ def direct_conv3d(x, weight, bias, groups):
     return out
 
 
+def per_group_conv3d(x, p):
+    """The earlier conv3d: a separate 1x1x1 path and one tap loop per group.
+
+    Kept as the oracle the single stacked tap loop must match bit for bit.
+    """
+    c_in, d, h, w = x.shape
+    cig, cog = c_in // p.groups, p.c_out // p.groups
+    n = d * h * w
+    k = p.kernel
+    if k == 1:
+        flat = x.reshape(c_in, -1)
+        if p.groups == 1:
+            out = p.weight.reshape(p.c_out, c_in) @ flat
+        else:
+            out = np.empty((p.c_out, n), dtype=np.float32)
+            for g in range(p.groups):
+                wg = p.weight[g * cog : (g + 1) * cog, :, 0, 0, 0]
+                out[g * cog : (g + 1) * cog] = wg @ flat[g * cig : (g + 1) * cig]
+    else:
+        pad = k // 2
+        xp = np.zeros((c_in, d + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+        xp[:, pad : pad + d, pad : pad + h, pad : pad + w] = x
+        out = np.empty((p.c_out, n), dtype=np.float32)
+        for g in range(p.groups):
+            xg = xp[g * cig : (g + 1) * cig]
+            wg = p.weight[g * cog : (g + 1) * cog]
+            acc = np.zeros((cog, n), dtype=np.float32)
+            for dz in range(k):
+                for dy in range(k):
+                    for dx in range(k):
+                        patch = xg[:, dz : dz + d, dy : dy + h, dx : dx + w].reshape(cig, n)
+                        acc += wg[:, :, dz, dy, dx] @ patch
+            out[g * cog : (g + 1) * cog] = acc
+    out = out.reshape(p.c_out, d, h, w)
+    if p.bias is not None:
+        out += p.bias[:, None, None, None]
+    return out
+
+
 class TestWindowPartition:
     def test_small_blocks(self):
         """Window 0 of a 4^3 volume split by 2^3 holds exactly the low-corner voxels."""
@@ -221,6 +260,44 @@ class TestConv3d:
         x = rng.standard_normal((4, 5, 5, 5)).astype(np.float32)
         p = ConvParams(weight=rng.standard_normal((4, 2, 5, 5, 5)).astype(np.float32), groups=2)
         assert np.all(np.isfinite(conv3d(x, p)))
+
+
+class TestConv3dMatchesPerGroupPath:
+    """The stacked tap loop is bit-identical to the per-group/1x1x1 oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        groups=st.integers(1, 4),
+        cig=st.integers(1, 3),
+        cog=st.integers(1, 3),
+        k=st.sampled_from([1, 3, 5]),
+        extent=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+        bias=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_cases(self, groups, cig, cog, k, extent, bias, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((groups * cig, *extent)).astype(np.float32)
+        p = ConvParams(
+            weight=rng.standard_normal((groups * cog, cig, k, k, k)).astype(np.float32),
+            bias=rng.standard_normal(groups * cog).astype(np.float32) if bias else None,
+            groups=groups,
+        )
+        np.testing.assert_array_equal(conv3d(x, p), per_group_conv3d(x, p))
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("groups", [1, 2, 8])
+    def test_network_sized_and_strided_channel_slice(self, k, groups):
+        """A 16-channel stage-like input, contiguous and as every other channel of a 32-channel tensor."""
+        rng = np.random.default_rng(100 * k + groups)
+        base = rng.standard_normal((32, 6, 5, 7)).astype(np.float32)
+        p = ConvParams(
+            weight=rng.standard_normal((16, 16 // groups, k, k, k)).astype(np.float32),
+            bias=rng.standard_normal(16).astype(np.float32),
+            groups=groups,
+        )
+        for x in (base[:16], base[::2]):
+            np.testing.assert_array_equal(conv3d(x, p), per_group_conv3d(x, p))
 
 
 class TestSoftmax:
