@@ -8,14 +8,7 @@ JSON line per run; ``--threads N`` runs N forward workers.
 
 import argparse
 
-from pwseg.cli import pin_blas_threads
-
-
-def parse_extent(text):
-    parts = text.lower().replace("x", ",").split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected DxHxW, got {text!r}")
-    return tuple(int(p) for p in parts)
+from pwseg.cli import parse_extent, pin_blas_threads
 
 
 def main() -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -50,8 +51,8 @@ class MadInput:
         l = self.grid[0] * self.grid[1] * self.grid[2]
         if self.weights.shape != (l, l):
             raise ShapeError(f"weights shape {self.weights.shape} != ({l}, {l}) for grid {self.grid}")
-        if self.spacing <= 0:
-            raise DomainError(f"voxel spacing must be positive, got {self.spacing}")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise DomainError(f"voxel spacing must be positive and finite, got {self.spacing}")
 
 
 def mad(inp: MadInput) -> float:
@@ -137,10 +138,12 @@ def bench(cfg, extent=None, threads: int = 1, iters: int = 10, warmup: int = 1, 
     ``threads`` worker threads (each iteration is one full patch forward on
     its own input copy).  Wall time uses the monotonic performance counter.
     """
-    from .network import build, flop_breakdown, forward, total_flops
+    from .network import build, flop_breakdown, forward
 
     if iters < 1 or warmup < 1:
         raise DomainError("need at least one warmup and one measured iteration")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     if extent is not None and tuple(extent) != tuple(cfg.input_extent):
         from dataclasses import replace
 
@@ -181,6 +184,6 @@ def bench(cfg, extent=None, threads: int = 1, iters: int = 10, warmup: int = 1, 
         patches_per_second=iters / total,
         median_iteration_seconds=statistics.median(times),
         total_seconds=total,
-        flops_per_patch=total_flops(net, cfg.input_extent),
+        flops_per_patch=total_cost,
         stage_flop_shares=shares,
     )

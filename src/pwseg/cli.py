@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from .errors import ConfigError, PwsegError, ShapeError
+from .errors import ConfigError, DomainError, PwsegError
 
 BLAS_THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -44,7 +45,8 @@ def pin_blas_threads() -> None:
         os.environ[var] = "1"
 
 
-def _triple(text: str) -> tuple[int, int, int]:
+def parse_extent(text: str) -> tuple[int, int, int]:
+    """``DxHxW`` (or ``D,H,W``) -> an integer triple; the argparse type of the extent and grid flags."""
     parts = text.lower().replace("x", ",").split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected DxHxW, got {text!r}")
@@ -108,23 +110,24 @@ def _cmd_forward(args) -> int:
 
     cfg = _load_config(args.config)
     net = build(cfg, seed=args.seed)
-    vol = volume_io.read(args.input)
-    if vol.shape[0] != cfg.modalities or vol.shape[1] != 1:
-        raise ShapeError(
-            f"input holds [{vol.shape[0]}, {vol.shape[1]}] modality/channel volumes, "
-            f"config expects [{cfg.modalities}, 1]"
-        )
-    logits = forward(net, [vol[m] for m in range(cfg.modalities)])
+    logits = forward(net, list(volume_io.read(args.input)))
     volume_io.write(args.output, logits[None])
     print(json.dumps({"output": args.output, "logits_shape": list(logits.shape)}))
     return 0
 
 
 def _parse_teacher(spec: str):
-    if ":" in spec:
-        path, weight = spec.rsplit(":", 1)
-        return path, float(weight)
-    return spec, 1.0
+    """``PATH[:WEIGHT]`` -> (path, weight); the weight must be a finite number >= 0."""
+    if ":" not in spec:
+        return spec, 1.0
+    path, text = spec.rsplit(":", 1)
+    try:
+        weight = float(text)
+    except ValueError:
+        weight = math.nan
+    if not (math.isfinite(weight) and weight >= 0):
+        raise DomainError(f"teacher {spec!r}: weight must be a finite number >= 0")
+    return path, weight
 
 
 def _cmd_sdkt_loss(args) -> int:
@@ -216,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flops", help="attention cost per stage and network totals")
     p.add_argument("--config", required=True)
-    p.add_argument("--extent", type=_triple, default=None)
+    p.add_argument("--extent", type=parse_extent, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_flops)
 
@@ -235,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mad", help="mean attention distance of a stored matrix")
     p.add_argument("--weights", required=True)
-    p.add_argument("--grid", type=_triple, required=True)
+    p.add_argument("--grid", type=parse_extent, required=True)
     p.add_argument("--spacing", type=float, default=1.0)
     p.set_defaults(handler=_cmd_mad)
 
     p = sub.add_parser("bench", help="forward throughput measurement")
     p.add_argument("--config", required=True)
-    p.add_argument("--extent", type=_triple, default=None)
+    p.add_argument("--extent", type=parse_extent, default=None)
     p.add_argument("--threads", type=int, default=1,
                    help="forward worker threads; BLAS runs one thread per worker")
     p.add_argument("--iters", type=int, default=10)
@@ -251,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bench)
 
     p = sub.add_parser("gen-synthetic", help="seeded phantom volumes plus label")
-    p.add_argument("--extent", type=_triple, default=(96, 96, 96))
+    p.add_argument("--extent", type=parse_extent, default=(96, 96, 96))
     p.add_argument("--modalities", type=int, default=2)
     p.add_argument("--blobs", type=int, default=3)
     p.add_argument("--blob-radius", type=float, default=6.0)

@@ -49,8 +49,8 @@ def group_size_bound(modalities: int, volume_ratio: int, alpha: float) -> float:
         raise DomainError(f"modalities must be >= 1, got {modalities}")
     if volume_ratio < 1:
         raise DomainError(f"volume_ratio must be >= 1, got {volume_ratio}")
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     return alpha * math.log(modalities * volume_ratio)
 
 

@@ -86,19 +86,6 @@ class NetworkConfig:
         return window_schedule(stage_extent, big1, self.small_window_minima[stage], self.r)
 
 
-_TRIPLE_TUPLE_FIELDS = {"big_window_minima", "small_window_minima"}
-_INT_TUPLE_FIELDS = {
-    "input_extent",
-    "stage_widths",
-    "group_sizes",
-    "kernels",
-    "attention_depth",
-    "conv_depth",
-    "expansion_ratios",
-    "n_head",
-}
-
-
 def _int(key: str, value) -> int:
     """A JSON integer (or integral number) for field ``key``; bools and strings are rejected."""
     if isinstance(value, bool) or not (
@@ -108,22 +95,31 @@ def _int(key: str, value) -> int:
     return int(value)
 
 
-def _seq(key: str, value):
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"config field {key!r} must be a list, got {value!r}")
-    return value
+def _coerce(key: str, value, default):
+    """``value`` checked against the JSON kind of field ``key``'s NetworkConfig ``default``.
 
-
-def _ints(key: str, value) -> tuple[int, ...]:
-    return tuple(_int(key, v) for v in _seq(key, value))
+    A bool default takes a JSON bool, an int default an integer, and a tuple
+    default a list whose entries are each checked against its first entry.
+    """
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"config field {key!r} must be true or false, got {value!r}")
+        return value
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"config field {key!r} must be a list, got {value!r}")
+        return tuple(_coerce(key, v, default[0]) for v in value)
+    return _int(key, value)
 
 
 def config_from_dict(payload: dict) -> NetworkConfig:
     """Build a config from parsed JSON, type-checking fields and coercing lists to tuples.
 
-    Raises ConfigError naming the field on an unknown field, a bool field
-    that is not a JSON bool, or an integer field holding a bool, a string
-    or a non-integral number, and when ``payload`` is not a JSON object.
+    Each field takes the JSON kind of its NetworkConfig default.  Raises
+    ConfigError naming the field on an unknown field, a bool field that is
+    not a JSON bool, an integer field (or list entry) holding a bool, a
+    string or a non-integral number, or a list field holding a non-list,
+    and when ``payload`` is not a JSON object.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"config must be a JSON object, got {type(payload).__name__}")
@@ -131,20 +127,7 @@ def config_from_dict(payload: dict) -> NetworkConfig:
     unknown = set(payload) - set(fields)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    coerced = {}
-    for key, value in payload.items():
-        default = fields[key].default
-        if key in _INT_TUPLE_FIELDS:
-            coerced[key] = _ints(key, value)
-        elif key in _TRIPLE_TUPLE_FIELDS:
-            coerced[key] = tuple(_ints(key, triple) for triple in _seq(key, value))
-        elif isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"config field {key!r} must be true or false, got {value!r}")
-            coerced[key] = value
-        else:
-            coerced[key] = _int(key, value)
-    return NetworkConfig(**coerced)
+    return NetworkConfig(**{key: _coerce(key, value, fields[key].default) for key, value in payload.items()})
 
 
 def conv_only(cfg: NetworkConfig) -> NetworkConfig:
@@ -486,13 +469,12 @@ def flop_breakdown(net: Network, extent=None) -> dict[str, int]:
     stage_ext = cfg.stage_extents(extent)
     n_full = prod(extent)
     m_att = cfg.attention_modalities
-    n_streams_in = 1 if cfg.early_fusion else cfg.modalities
 
     out = {
         "stem": _conv_flops(n_full, net.modal_mixer)
         + n_full * net.modal_mixer.c_out
         + _conv_flops(prod(stage_ext[0]), net.jlc_embed)
-        + n_streams_in * _conv_flops(prod(stage_ext[0]), net.pwa_embed),
+        + m_att * _conv_flops(prod(stage_ext[0]), net.pwa_embed),
         "encoder_conv": 0,
         "attention": 0,
         "fusion": 0,

@@ -160,8 +160,6 @@ def conv3d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     c_in, d, h, w = x.shape
     if c_in != p.c_in:
         raise ConfigError(f"input has {c_in} channels, conv expects {p.c_in}")
-    if c_in % p.groups != 0:
-        raise ConfigError(f"input channels {c_in} not divisible by groups {p.groups}")
     k, g = p.kernel, p.groups
     if k > 1:
         pad = k // 2

@@ -10,6 +10,7 @@ Files are little-endian and padding-free so they are byte-portable:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,6 +90,15 @@ def gen_synthetic(spec: SyntheticSpec, seed: int):
             raise ConfigError(f"{axis} extent {e} must be a positive multiple of 32")
     if spec.modalities < 1:
         raise ConfigError(f"modalities must be >= 1, got {spec.modalities}")
+    if spec.blob_count < 0:
+        raise ConfigError(f"blob_count must be >= 0, got {spec.blob_count}")
+    half = min(d, h, w) / 2
+    if not (math.isfinite(spec.blob_radius) and 0 < spec.blob_radius <= half):
+        raise ConfigError(f"blob_radius must lie in (0, {half}], got {spec.blob_radius}")
+    if not (math.isfinite(spec.noise_sigma) and spec.noise_sigma >= 0):
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {spec.noise_sigma}")
+    if not math.isfinite(spec.blob_intensity):
+        raise ConfigError(f"blob_intensity must be finite, got {spec.blob_intensity}")
     rng = np.random.default_rng(seed)
 
     zz, yy, xx = np.meshgrid(np.arange(d), np.arange(h), np.arange(w), indexing="ij")

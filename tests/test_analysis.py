@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwseg.analysis import BenchReport, MadInput, bench, dice, index_to_coords, mad
-from pwseg.errors import ShapeError
+from pwseg.errors import DomainError, ShapeError
 from pwseg.network import NetworkConfig, conv_only
 
 
@@ -121,6 +121,11 @@ class TestMad:
         with pytest.raises(ShapeError):
             MadInput(np.eye(7), (2, 2, 2))
 
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf, 0.0])
+    def test_spacing_must_be_positive_and_finite(self, spacing):
+        with pytest.raises(DomainError, match="spacing"):
+            MadInput(np.eye(8), (2, 2, 2), spacing=spacing)
+
 
 class TestDice:
     def test_perfect_overlap(self):
@@ -164,6 +169,11 @@ class TestBench:
         assert report.extent == (32, 32, 32)
         assert abs(sum(report.stage_flop_shares.values()) - 1.0) < 1e-9
         assert report.config_digest == bench(TINY, threads=1, iters=1, warmup=1).config_digest
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(DomainError, match="threads"):
+            bench(TINY, threads=threads, iters=1, warmup=1)
 
     def test_threaded_run(self):
         report = bench(TINY, threads=2, iters=2, warmup=1, seed=0)

@@ -111,6 +111,12 @@ def run_cli_process(*argv):
     return done.returncode, done.stderr
 
 
+def run_cli_error(capsys, *argv):
+    """Run the CLI in-process; returns (exit code, stderr lines)."""
+    code = main(list(argv))
+    return code, capsys.readouterr().err.splitlines()
+
+
 class TestErrorExit:
     """A pwseg.errors failure exits 2 with one ``error:`` line, never a traceback."""
 
@@ -146,6 +152,52 @@ class TestErrorExit:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("shape", [(3, 1, 32, 32, 32), (2, 2, 32, 32, 32)])
+    def test_forward_input_shape(self, capsys, tmp_path, tiny_config_path, shape):
+        """Three modalities, or two channels per modality, for a two-modality config."""
+        volume_io.write(tmp_path / "in.vxs", np.zeros(shape, dtype=np.float32))
+        code, lines = run_cli_error(
+            capsys, "forward", "--config", tiny_config_path,
+            "--input", str(tmp_path / "in.vxs"), "--output", str(tmp_path / "out.vxs"),
+        )
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")
+        assert not (tmp_path / "out.vxs").exists()
+
+    @pytest.mark.parametrize("weight", ["heavy", "nan", "-1"])
+    def test_bad_teacher_weight(self, tmp_path, weight):
+        volume_io.write(tmp_path / "x.vxs", np.ones((1, 2, 2, 2, 2), dtype=np.float32))
+        code, err = run_cli_process(
+            "sdkt-loss", "--seg", str(tmp_path / "x.vxs"), "--teacher", f"{tmp_path / 'x.vxs'}:{weight}"
+        )
+        assert code == 2
+        assert err.startswith("error:") and f":{weight}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--blobs", "-1", "blob_count"),
+            ("--blob-radius", "17", "blob_radius"),
+            ("--blob-radius", "0", "blob_radius"),
+            ("--blob-radius", "nan", "blob_radius"),
+            ("--noise-sigma", "-1", "noise_sigma"),
+            ("--blob-intensity", "inf", "blob_intensity"),
+        ],
+    )
+    def test_bad_synthetic_spec(self, capsys, tmp_path, flag, value, field):
+        code, lines = run_cli_error(
+            capsys, "gen-synthetic", "--extent", "32x32x32", flag, value, "--out-prefix", str(tmp_path / "c")
+        )
+        assert code == 2 and len(lines) == 1
+        assert lines[0].startswith("error:") and field in lines[0]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_plan_groups_non_finite_alpha(self, capsys, alpha):
+        code, lines = run_cli_error(capsys, "plan-groups", "--modalities", "2", "--alpha", alpha)
+        assert code == 2 and len(lines) == 1
+        assert lines[0].startswith("error:") and "alpha" in lines[0]
+
     def test_mistyped_config_field(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(TINY_CONFIG, modalities="2")))
@@ -153,12 +205,6 @@ class TestErrorExit:
         assert code == 2
         assert err.startswith("error:") and "'modalities'" in err
         assert "Traceback" not in err
-
-
-def test_every_export_resolves():
-    """No name in ``pwseg.__all__`` is left behind by a deletion."""
-    for name in pwseg.__all__:
-        assert getattr(pwseg, name) is not None, name
 
 
 class TestSdktLoss:

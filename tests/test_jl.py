@@ -48,6 +48,11 @@ class TestGroupSizeBound:
         with pytest.raises(DomainError):
             group_size_bound(1, 8, 0.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(DomainError, match="alpha"):
+            group_size_bound(2, 8, alpha)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 10**6), st.floats(0.01, 50.0))
     def test_alpha_linearity(self, m, v, alpha):

@@ -315,6 +315,29 @@ class TestCounting:
         assert 6.0 <= big / small <= 8.5  # ~8x voxels, minus fixed per-voxel terms
 
 
+# One payload of the wrong JSON kind per NetworkConfig field.
+WRONG_KIND = {
+    "modalities": "2",
+    "num_classes": 2.5,
+    "input_extent": 96,
+    "stage_widths": [16, 32, "64", 128],
+    "group_sizes": [4, 8, 8, True],
+    "kernels": [1, 3, 5.5],
+    "attention_depth": [1, 1, None, 1],
+    "conv_depth": "2,2,2,3",
+    "decoder_depth": [1],
+    "expansion_ratios": [3, 3, 2, [2]],
+    "big_window_minima": [[3, 3, 3], [6, 6.5, 6], [3, 3, 3], [3, 3, 3]],
+    "small_window_minima": [[1, 1, 1], 1, [1, 1, 1], [1, 1, 1]],
+    "r": True,
+    "c_min": None,
+    "n_head": {"1": 1},
+    "head_width": "4",
+    "patch_stride": 4.5,
+    "early_fusion": 1,
+}
+
+
 class TestConfigJson:
     def test_roundtrip(self):
         cfg = NetworkConfig()
@@ -360,6 +383,12 @@ class TestConfigJson:
             validate_config(cfg)
         with pytest.raises(ConfigError, match=field):
             build(cfg, seed=0)
+
+    @pytest.mark.parametrize("field", sorted(NetworkConfig.__dataclass_fields__))
+    def test_every_field_rejects_wrong_kind(self, field):
+        """Each field's JSON kind follows its default; a field missing from the table fails here."""
+        with pytest.raises(ConfigError, match=f"config field '{field}'"):
+            config_from_dict({field: WRONG_KIND[field]})
 
     def test_integral_numbers_accepted(self):
         cfg = config_from_dict({"num_classes": 3.0, "early_fusion": False})

@@ -131,3 +131,24 @@ class TestSynthetic:
             gen_synthetic(SyntheticSpec(extent=(30, 32, 32)), seed=0)
         with pytest.raises(ConfigError):
             gen_synthetic(SyntheticSpec(extent=(32, 32, 32), modalities=0), seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("blob_count", -1),
+            ("blob_radius", 17.0),
+            ("blob_radius", 0.0),
+            ("blob_radius", float("nan")),
+            ("noise_sigma", -1.0),
+            ("noise_sigma", float("inf")),
+            ("blob_intensity", float("nan")),
+        ],
+    )
+    def test_invalid_spec_field_named(self, field, value):
+        spec = SyntheticSpec(extent=(32, 32, 32), **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            gen_synthetic(spec, seed=0)
+
+    def test_radius_up_to_half_the_smallest_extent(self):
+        _, label = gen_synthetic(SyntheticSpec(extent=(32, 64, 64), blob_count=1, blob_radius=16.0), seed=0)
+        assert label.sum() > 0
