@@ -28,11 +28,10 @@ from .tensor import (
     max_pool3,
     pointwise_conv,
     softmax_rows,
-    window_merge,
-    window_partition,
 )
 
-# Softmax/matmul working-set budget (floats) for one attention chunk.
+# Floats in one attention chunk's [windows, n_head, T, T] logits buffer.
+# softmax_rows normalizes it in place, so it is the chunk's only T x T buffer.
 _CHUNK_BUDGET = 1 << 24
 
 
@@ -136,7 +135,8 @@ def gather(xs, sched: WindowSchedule, n_head: int, c_hat: int) -> np.ndarray:
     out pair-major then head-major.  Pair i's channel slice is max-pooled by
     small window i, then partitioned into the token grid of big window i and
     flattened to L tokens; the M modality sequences concatenate along the
-    token axis (modality-major).
+    token axis (modality-major).  Partition and concatenation are one strided
+    copy per pair and modality, straight into the output.
     Returns [sum_i n_i, n_head, c_hat, M*L] ordered pair-major then
     window-lexicographic.
     """
@@ -151,48 +151,49 @@ def gather(xs, sched: WindowSchedule, n_head: int, c_hat: int) -> np.ndarray:
             )
         if x.shape[1:] != sched.extent:
             raise ShapeError(f"modality {m}: extent {x.shape[1:]} != schedule extent {sched.extent}")
-    seq_len = sched.seq_len
+    td, th, tw = sched.tokens_per_axis
     counts = sched.window_counts()
-    out = np.empty((sum(counts), n_head, c_hat, len(xs) * seq_len), dtype=xs[0].dtype)
+    out = np.empty((sum(counts), n_head, c_hat, len(xs) * sched.seq_len), dtype=xs[0].dtype)
     offset = 0
-    for i, ((_, small), n_i) in enumerate(zip(sched.pairs, counts)):
-        rows = out[offset : offset + n_i]
+    for i, ((big, small), n_i) in enumerate(zip(sched.pairs, counts)):
+        nd, nh, nw = (e // b for e, b in zip(sched.extent, big))
+        rows = out[offset : offset + n_i].reshape(nd, nh, nw, per_pair, len(xs), td, th, tw)
         offset += n_i
         for m, x in enumerate(xs):
-            pooled = max_pool3(x[i * per_pair : (i + 1) * per_pair], small)
-            tokens = window_partition(pooled, sched.tokens_per_axis)
-            rows[..., m * seq_len : (m + 1) * seq_len] = tokens.reshape(n_i, n_head, c_hat, seq_len)
+            grid = x[i * per_pair : (i + 1) * per_pair]
+            if small != (1, 1, 1):
+                grid = max_pool3(grid, small)
+            grid = grid.reshape(per_pair, nd, td, nh, th, nw, tw)
+            rows[:, :, :, :, m] = grid.transpose(1, 3, 5, 0, 2, 4, 6)
     return out
 
 
 def scatter(batch: np.ndarray, sched: WindowSchedule, n_head: int, c_hat: int, modalities: int):
     """Inverse of :func:`gather`: place attended tokens back into volumes.
 
-    Tokens merge into the pooled grid of their pair, then each value is
-    repeated across its small window, so gather(scatter(a)) reproduces
-    ``a`` exactly for any schedule.  Returns one
-    [n_win * n_head * c_hat, D, H, W] tensor per modality.
+    Each token is repeated across its small window, so gather(scatter(a))
+    reproduces ``a`` exactly for any schedule.  Merge and repetition are one
+    strided broadcast copy per pair and modality, straight into the output.
+    Returns one [n_win * n_head * c_hat, D, H, W] tensor per modality.
     """
     counts = sched.window_counts()
-    seq_len = sched.seq_len
     per_pair = n_head * c_hat
-    expected = (sum(counts), n_head, c_hat, modalities * seq_len)
+    expected = (sum(counts), n_head, c_hat, modalities * sched.seq_len)
     if batch.shape != expected:
         raise ShapeError(f"sequence batch shape {batch.shape} != expected {expected}")
     td, th, tw = sched.tokens_per_axis
-    d, h, w = sched.extent
-    outs = [np.empty((sched.n_win * per_pair, d, h, w), dtype=batch.dtype) for _ in range(modalities)]
+    outs = [np.empty((sched.n_win * per_pair, *sched.extent), dtype=batch.dtype) for _ in range(modalities)]
     offset = 0
-    for i, ((_, (sd, sh, sw)), n_i) in enumerate(zip(sched.pairs, counts)):
-        blk = batch[offset : offset + n_i]
+    for i, ((big, (sd, sh, sw)), n_i) in enumerate(zip(sched.pairs, counts)):
+        nd, nh, nw = (e // b for e, b in zip(sched.extent, big))
+        blk = batch[offset : offset + n_i].reshape(nd, nh, nw, per_pair, modalities, td, th, tw)
         offset += n_i
         for m in range(modalities):
-            tokens = blk[..., m * seq_len : (m + 1) * seq_len].reshape(n_i, per_pair, td, th, tw)
-            grid = window_merge(tokens, (d // sd, h // sh, w // sw))
-            # repeat each token over its small window through a blocked view of the output
+            # [per_pair, nd, td, nh, th, nw, tw], each token repeated over its small window
+            grid = blk[:, :, :, :, m].transpose(3, 0, 4, 1, 5, 2, 6)
             dst = outs[m][i * per_pair : (i + 1) * per_pair]
-            dst = dst.reshape(per_pair, d // sd, sd, h // sh, sh, w // sw, sw)
-            dst[...] = grid[:, :, None, :, None, :, None]
+            dst = dst.reshape(per_pair, nd, td, sd, nh, th, sh, nw, tw, sw)
+            dst[...] = grid[:, :, :, None, :, :, None, :, :, None]
     return outs
 
 

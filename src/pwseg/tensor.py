@@ -6,8 +6,10 @@ Feature tensors are plain float32 numpy arrays in one canonical layout:
     rank 4  [channel, depth, height, width]             (single modality)
 
 so modality is the slowest-varying axis and width the fastest.  Every
-operation here is a pure function of its inputs; outputs are freshly
-allocated arrays, never views into mutable state.
+operation here except :func:`softmax_rows` is a pure function of its
+inputs; outputs are freshly allocated arrays, never views into mutable
+state.  ``softmax_rows`` overwrites its argument with the result and
+returns it, so attention keeps one logits buffer per chunk.
 """
 
 from __future__ import annotations
@@ -224,23 +226,36 @@ def max_pool3(x: np.ndarray, pool) -> np.ndarray:
     """Non-overlapping max pooling over the trailing three axes.
 
     Stride equals the pool size; each output voxel is the maximum over its
-    block.  Leading axes are preserved.
+    block.  Leading axes are preserved.  Each axis with pool k > 1 is pooled
+    on its own: its ``0::k`` slice is copied, then the ``j::k`` slices fold
+    in with ``np.maximum``.  Max is exact, so the order does not change the
+    result.  The output is always a fresh array, also for a unit pool.
     """
     if x.ndim < 3:
         raise ShapeError(f"max_pool3 input must have >= 3 dims, got {x.ndim}")
-    sd, sh, sw = pool
-    *lead, d, h, w = x.shape
-    _check_divisible((d, h, w), pool, "pool")
-    x7 = x.reshape(*lead, d // sd, sd, h // sh, sh, w // sw, sw)
-    nlead = len(lead)
-    return x7.max(axis=(nlead + 1, nlead + 3, nlead + 5))
+    _check_divisible(x.shape[-3:], pool, "pool")
+    out = x
+    for axis, k in zip(range(x.ndim - 3, x.ndim), pool):
+        if k > 1:
+            lead = (slice(None),) * axis
+            pooled = out[lead + (slice(0, None, k),)].copy()
+            for j in range(1, k):
+                np.maximum(pooled, out[lead + (slice(j, None, k),)], out=pooled)
+            out = pooled
+    return x.copy() if out is x else out
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the last axis, shift-invariant and stable."""
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax over the last axis, shift-invariant and stable.
+
+    Overwrites the floating-point array ``m`` with its softmax and returns
+    it: the row max is subtracted, exponentiated and divided by the row sum
+    in place, so no temporary of ``m``'s size is made.
+    """
+    m -= m.max(axis=-1, keepdims=True)
+    np.exp(m, out=m)
+    m /= m.sum(axis=-1, keepdims=True)
+    return m
 
 
 def _normalize(x, axis, scale, shift, eps):

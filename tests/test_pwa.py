@@ -2,11 +2,13 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import numpy as np
 import pytest
 
+from pwseg import pwa
 from pwseg.errors import ScheduleError, ShapeError
 from pwseg.jl import head_channels
 from pwseg.pwa import (
@@ -159,6 +161,73 @@ class TestTokenResolutionPaths:
         ).astype(np.float32)
         got = scatter(batch, sched, n_head, c_hat, modalities)
         want = broadcast_then_merge_scatter(batch, sched, n_head, c_hat, modalities)
+        assert len(got) == modalities
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+def three_copy_gather(xs, sched, n_head, c_hat):
+    """The earlier gather (checks dropped): pool, window_partition's copy, then assign."""
+    per_pair = n_head * c_hat
+    seq_len = sched.seq_len
+    counts = sched.window_counts()
+    out = np.empty((sum(counts), n_head, c_hat, len(xs) * seq_len), dtype=xs[0].dtype)
+    offset = 0
+    for i, ((_, small), n_i) in enumerate(zip(sched.pairs, counts)):
+        rows = out[offset : offset + n_i]
+        offset += n_i
+        for m, x in enumerate(xs):
+            pooled = max_pool3(x[i * per_pair : (i + 1) * per_pair], small)
+            tokens = window_partition(pooled, sched.tokens_per_axis)
+            rows[..., m * seq_len : (m + 1) * seq_len] = tokens.reshape(n_i, n_head, c_hat, seq_len)
+    return out
+
+
+def merge_then_repeat_scatter(batch, sched, n_head, c_hat, modalities):
+    """The earlier scatter (checks dropped): window_merge's copy, then a blocked repeat."""
+    counts = sched.window_counts()
+    seq_len = sched.seq_len
+    per_pair = n_head * c_hat
+    td, th, tw = sched.tokens_per_axis
+    d, h, w = sched.extent
+    outs = [np.empty((sched.n_win * per_pair, d, h, w), dtype=batch.dtype) for _ in range(modalities)]
+    offset = 0
+    for i, ((_, (sd, sh, sw)), n_i) in enumerate(zip(sched.pairs, counts)):
+        blk = batch[offset : offset + n_i]
+        offset += n_i
+        for m in range(modalities):
+            tokens = blk[..., m * seq_len : (m + 1) * seq_len].reshape(n_i, per_pair, td, th, tw)
+            grid = window_merge(tokens, (d // sd, h // sh, w // sw))
+            dst = outs[m][i * per_pair : (i + 1) * per_pair]
+            dst = dst.reshape(per_pair, d // sd, sd, h // sh, sh, w // sw, sw)
+            dst[...] = grid[:, :, None, :, None, :, None]
+    return outs
+
+
+class TestOneCopyPaths:
+    """One-copy gather and scatter equal the three-copy paths they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("extent, big1, small1", POOLED_SCHEDULES)
+    @pytest.mark.parametrize("modalities", [1, 2, 4])
+    def test_gather_matches_three_copy_gather(self, extent, big1, small1, modalities):
+        rng = np.random.default_rng(modalities * 41 + extent[2])
+        sched = window_schedule(extent, big1, small1)
+        xs = [
+            rng.standard_normal((sched.n_win * 2 * 3, *extent)).astype(np.float32)
+            for _ in range(modalities)
+        ]
+        np.testing.assert_array_equal(gather(xs, sched, 2, 3), three_copy_gather(xs, sched, 2, 3))
+
+    @pytest.mark.parametrize("extent, big1, small1", POOLED_SCHEDULES)
+    @pytest.mark.parametrize("modalities", [1, 2, 4])
+    def test_scatter_matches_merge_then_repeat(self, extent, big1, small1, modalities):
+        rng = np.random.default_rng(modalities * 43 + extent[0])
+        sched = window_schedule(extent, big1, small1)
+        batch = rng.standard_normal(
+            (sum(sched.window_counts()), 2, 3, modalities * sched.seq_len)
+        ).astype(np.float32)
+        got = scatter(batch, sched, 2, 3, modalities)
+        want = merge_then_repeat_scatter(batch, sched, 2, 3, modalities)
         assert len(got) == modalities
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
@@ -320,6 +389,47 @@ class TestGroupedAttention:
         q = np.zeros((1, 1, 2, 3), dtype=np.float32)
         with pytest.raises(ShapeError):
             grouped_attention(q, q, np.zeros((1, 1, 2, 4), dtype=np.float32), np.zeros((3, 3)))
+
+
+def fresh_softmax_attention(q, k, v, pos_bias):
+    """The earlier grouped_attention in one chunk, with the earlier fresh-temporary softmax.
+
+    Returns the output and the attention weights.
+    """
+    logits = np.swapaxes(q, 2, 3) @ k
+    logits *= q.dtype.type(1.0 / np.sqrt(q.shape[2]))
+    logits += pos_bias
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return v @ np.swapaxes(weights, 2, 3), weights
+
+
+class TestAttentionChunks:
+    """A batch split over several chunks gives the single-chunk result bit for bit."""
+
+    def test_chunk_boundaries(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        n, n_head, c_hat, tokens = 11, 2, 3, 6
+        q, k, v = (rng.standard_normal((n, n_head, c_hat, tokens)).astype(np.float32) * 2 for _ in range(3))
+        bias = rng.standard_normal((tokens, tokens)).astype(np.float32)
+        want, want_weights = fresh_softmax_attention(q, k, v, bias)
+
+        whole_sink = []
+        whole = grouped_attention(q, k, v, bias, weight_sink=whole_sink)
+        assert len(whole_sink) == 1
+        # four windows per chunk: chunks of 4, 4 and a remainder of 3
+        monkeypatch.setattr(pwa, "_CHUNK_BUDGET", 4 * n_head * tokens * tokens)
+        sink = []
+        chunked = grouped_attention(q, k, v, bias, weight_sink=sink)
+
+        np.testing.assert_array_equal(whole, want)
+        np.testing.assert_array_equal(chunked, whole)
+        assert [w.shape[0] for w in sink] == [4, 4, 3]
+        for a, b in combinations(sink, 2):
+            assert not np.shares_memory(a, b)
+        for w, start in zip(sink, (0, 4, 8)):
+            np.testing.assert_array_equal(w, want_weights[start : start + w.shape[0]])
 
 
 class TestPwaForward:

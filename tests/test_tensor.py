@@ -169,6 +169,54 @@ class TestMaxPool:
             max_pool3(np.zeros((1, 2, 2, 3), dtype=np.float32), (2, 2, 2))
 
 
+def block_max_pool3(x, pool):
+    """The earlier max_pool3 (checks dropped): one reshape, a three-axis max reduce."""
+    sd, sh, sw = pool
+    *lead, d, h, w = x.shape
+    x7 = x.reshape(*lead, d // sd, sd, h // sh, sh, w // sw, sw)
+    nlead = len(lead)
+    return x7.max(axis=(nlead + 1, nlead + 3, nlead + 5))
+
+
+@st.composite
+def pool_cases(draw):
+    """(input, pool): 0-2 leading axes, per-axis pools 1-3, float32/64, maybe NaNs."""
+    lead = draw(st.lists(st.integers(1, 3), max_size=2))
+    pool = draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)))
+    grid = draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((*lead, *(p * g for p, g in zip(pool, grid)))).astype(dtype)
+    if draw(st.booleans()):
+        x[rng.random(x.shape) < 0.2] = np.nan
+        x.flat[rng.integers(x.size)] = np.nan
+    return x, pool
+
+
+class TestAxisWisePool:
+    """max_pool3 pools one axis at a time and equals the block reduce it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool_cases())
+    def test_matches_block_reduce(self, case):
+        x, pool = case
+        before = x.copy()
+        got = max_pool3(x, pool)
+        want = block_max_pool3(x, pool)
+        assert got.dtype == x.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(got, x)
+
+    @pytest.mark.parametrize("pool", [(1, 1, 1), (1, 1, 2), (3, 1, 1), (2, 2, 2)])
+    def test_fresh_output_from_views(self, pool):
+        base = np.random.default_rng(5).standard_normal((2, 6, 12, 8, 6)).astype(np.float32)
+        for x in (base, base[1], base[:, :, ::2], base.transpose(0, 1, 4, 3, 2)[..., :6, :]):
+            got = max_pool3(x, pool)
+            assert not np.shares_memory(got, x)
+            np.testing.assert_array_equal(got, block_max_pool3(x, pool))
+
+
 class TestConv3d:
     def test_depthwise_identity(self):
         """groups == C_in == C_out with k=1, all-ones weights is the identity."""
@@ -324,6 +372,31 @@ class TestSoftmax:
         out = softmax_rows(m)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-5)
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def fresh_softmax_rows(m):
+    """The earlier softmax_rows: three fresh temporaries, the argument untouched."""
+    shifted = m - m.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestSoftmaxInPlace:
+    """softmax_rows overwrites its argument with the earlier path's exact result."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_fresh_oracle(self, dtype):
+        m = (np.random.default_rng(13).standard_normal((3, 4, 37)) * 8).astype(dtype)
+        # contiguous, strided and transposed arguments
+        for arg in (m.copy(), m.copy()[:, ::2], np.swapaxes(m.copy(), 0, 1)):
+            want = fresh_softmax_rows(arg)
+            got = softmax_rows(arg)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_returns_its_argument(self):
+        m = np.random.default_rng(14).standard_normal((5, 9)).astype(np.float32)
+        assert softmax_rows(m) is m
 
 
 class TestNormsAndShuffle:
