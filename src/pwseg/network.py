@@ -443,64 +443,64 @@ def _jlc_block_flops(n_voxels: int, blk: JlcBlockParams) -> int:
     return total
 
 
-def _pwa_block_flops(extent, sched: WindowSchedule, blk: PwaBlockParams, modalities: int) -> int:
-    c = blk.attn.channels
-    n_voxels = prod(extent)
-    total = pwa_flops(extent, sched, c, modalities)
-    total += modalities * n_voxels * c  # pre-projection layer norm
-    total += modalities * (
-        2 * n_voxels * c  # FFN norm + implicit activation elements
-        + _conv_flops(n_voxels, blk.ffn_expand)
-        + n_voxels * blk.ffn_expand.c_out
-        + _conv_flops(n_voxels, blk.ffn_project)
-    )
-    return total
+def _walk(net: Network, extent=None):
+    """Yield ``(group, callee, params, input_shape, cost)`` per module-level call of ``forward``.
 
-
-def flop_breakdown(net: Network, extent=None) -> dict[str, int]:
-    """Forward-pass cost by component group.
-
-    Convolutions count 2 ops per multiply-accumulate plus bias adds; the
-    attention core uses the closed-form window cost model; norms and
-    activations count one op per element.
+    In call order at ``extent`` (default: the build extent).  ``params`` is the
+    call's second argument (None for ``gelu`` and ``voxel_shuffle``) and
+    ``input_shape`` its first argument's (the first modality's for
+    ``pwa_forward``).  ``cost`` counts 2 ops per conv multiply-accumulate plus
+    bias adds, the closed-form window model for the attention core, and one
+    op per element for norms, activations and residual adds.
     """
     cfg = net.config
     extent = tuple(int(e) for e in (extent or cfg.input_extent))
-    stage_ext = cfg.stage_extents(extent)
-    n_full = prod(extent)
+    ext = cfg.stage_extents(extent)
     m_att = cfg.attention_modalities
 
-    out = {
-        "stem": _conv_flops(n_full, net.modal_mixer)
-        + n_full * net.modal_mixer.c_out
-        + _conv_flops(prod(stage_ext[0]), net.jlc_embed)
-        + m_att * _conv_flops(prod(stage_ext[0]), net.pwa_embed),
-        "encoder_conv": 0,
-        "attention": 0,
-        "fusion": 0,
-        "downsample": 0,
-        "decoder": 0,
-        "head": 0,
-    }
-    for k, stage in enumerate(net.stages):
-        n_k = prod(stage_ext[k])
-        sched = cfg.stage_schedule(k, extent)
+    def conv(group, p, e):
+        # strided convs are the patchify downsamples; the cost counts output voxels
+        callee = "downsample_conv" if p.stride > 1 else "pointwise_conv"
+        return group, callee, p, (p.c_in, *e), _conv_flops(prod(e) // p.stride**3, p)
+
+    yield conv("stem", net.modal_mixer, extent)
+    yield "stem", "gelu", None, (net.modal_mixer.c_out, *extent), net.modal_mixer.c_out * prod(extent)
+    yield conv("stem", net.jlc_embed, extent)
+    yield from [conv("stem", net.pwa_embed, extent)] * m_att
+    for k, (stage, e) in enumerate(zip(net.stages, ext)):
+        c, n = cfg.stage_widths[k], prod(e)
         for blk in stage.jlc_blocks:
-            out["encoder_conv"] += _jlc_block_flops(n_k, blk)
+            yield "encoder_conv", "jlc_forward", blk, (c, *e), _jlc_block_flops(n, blk)
+        sched = cfg.stage_schedule(k, extent)
         for blk in stage.pwa_blocks:
-            out["attention"] += _pwa_block_flops(stage_ext[k], sched, blk, m_att)
-        out["fusion"] += _conv_flops(n_k, stage.fuse_proj)
+            # attention core plus its pre-projection layer norm
+            yield "attention", "pwa_forward", blk.attn, (c, *e), pwa_flops(e, sched, c, m_att) + m_att * n * c
+            for _ in range(m_att):
+                # FFN norm plus the residual add
+                yield "attention", "layer_norm", blk.ffn_norm_scale, (c, *e), 2 * n * c
+                yield conv("attention", blk.ffn_expand, e)
+                yield "attention", "gelu", None, (blk.ffn_expand.c_out, *e), blk.ffn_expand.c_out * n
+                yield conv("attention", blk.ffn_project, e)
+        yield conv("fusion", stage.fuse_proj, e)
         if stage.jlc_down is not None:
-            n_next = prod(stage_ext[k + 1])
-            out["downsample"] += _conv_flops(n_next, stage.jlc_down)
-            out["downsample"] += m_att * _conv_flops(n_next, stage.pwa_down)
+            yield conv("downsample", stage.jlc_down, e)
+            yield from [conv("downsample", stage.pwa_down, e)] * m_att
     for dec, k in zip(net.decoder, (2, 1, 0)):
-        n_src = prod(stage_ext[k + 1])
-        n_k = prod(stage_ext[k])
-        out["decoder"] += _conv_flops(n_src, dec.up_proj)
+        yield conv("decoder", dec.up_proj, ext[k + 1])
+        yield "decoder", "voxel_shuffle", None, (dec.up_proj.c_out, *ext[k + 1]), 0
         for blk in dec.blocks:
-            out["decoder"] += _jlc_block_flops(n_k, blk)
-    out["head"] = _conv_flops(prod(stage_ext[0]), net.final_expand) + _conv_flops(n_full, net.head)
+            c_in = blk.channels if blk.mixer is None else blk.mixer.c_in
+            yield "decoder", "jlc_forward", blk, (c_in, *ext[k]), _jlc_block_flops(prod(ext[k]), blk)
+    yield conv("head", net.final_expand, ext[0])
+    yield conv("head", net.head, extent)
+    yield "head", "voxel_shuffle", None, (net.head.c_out * cfg.patch_stride**3, *ext[0]), 0
+
+
+def flop_breakdown(net: Network, extent=None) -> dict[str, int]:
+    """Forward-pass cost by component group: the sum of :func:`_walk`'s costs."""
+    out = dict.fromkeys(("stem", "encoder_conv", "attention", "fusion", "downsample", "decoder", "head"), 0)
+    for group, _, _, _, cost in _walk(net, extent):
+        out[group] += cost
     return out
 
 

@@ -222,12 +222,12 @@ def grouped_attention(
 ) -> np.ndarray:
     """Scaled dot-product attention over a batch of gathered windows.
 
-    Inputs are [n, n_head, c_hat, T]; ``pos_bias`` broadcasts against the
-    [n, n_head, T, T] similarity logits.  Per window and head the weights are
-    softmax(q^T k / sqrt(c_hat) + pos_bias) and the output token j is the
-    weight-j-row combination of value tokens.  Set ``weight_sink`` to a list
-    to capture the attention weight matrices (off by default; it materializes
-    one T x T matrix per window).
+    Inputs are [n, n_head, c_hat, T].  ``pos_bias`` is one [T, T] table for
+    every head or one table per head, [n_head, T, T]; all n windows share it.
+    Per window and head the weights are softmax(q^T k / sqrt(c_hat) + pos_bias)
+    and the output token j is the weight-j-row combination of value tokens.
+    Set ``weight_sink`` to a list to capture the attention weight matrices
+    (off by default; it materializes one T x T matrix per window).
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(f"q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
@@ -235,8 +235,9 @@ def grouped_attention(
         raise ShapeError(f"sequence batch must be rank 4 [n, heads, c, T], got rank {q.ndim}")
     n, n_head, c_hat, tokens = q.shape
     pos_bias = np.asarray(pos_bias, dtype=q.dtype)
-    if pos_bias.shape[-2:] != (tokens, tokens):
-        raise ShapeError(f"position bias trailing shape {pos_bias.shape[-2:]} != ({tokens}, {tokens})")
+    accepted = ((tokens, tokens), (n_head, tokens, tokens))  # [T, T] or [n_head, T, T]
+    if pos_bias.shape not in accepted:
+        raise ShapeError(f"position bias shape {pos_bias.shape} is not one of {accepted}")
     scale = q.dtype.type(1.0 / np.sqrt(c_hat))
     out = np.empty_like(q)
     chunk = max(1, _CHUNK_BUDGET // max(1, n_head * tokens * tokens))
@@ -293,7 +294,6 @@ def pwa_forward(
     sched: WindowSchedule,
     *,
     meter: CostMeter | None = None,
-    weight_sink: list | None = None,
 ):
     """Full attention layer over M modality tensors of shape [C, D, H, W].
 
@@ -328,7 +328,7 @@ def pwa_forward(
         if meter is not None:
             meter.charge(n_i, modalities * sched.seq_len, params.channels)
         sl = slice(offset, offset + n_i)
-        attended[sl] = grouped_attention(qb[sl], kb[sl], vb[sl], params.pos_bias[i], weight_sink=weight_sink)
+        attended[sl] = grouped_attention(qb[sl], kb[sl], vb[sl], params.pos_bias[i])
         offset += n_i
     del qb, kb, vb
 

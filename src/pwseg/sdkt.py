@@ -37,6 +37,15 @@ def gram(x: np.ndarray) -> np.ndarray:
     return (g + g.T) * 0.5  # exact symmetry despite BLAS rounding
 
 
+def _teacher_grams(channels: int, teachers):
+    """Yield (Gram, weight) per (feature tensor, weight) teacher, checking its channel count."""
+    for t, (feat, weight) in enumerate(teachers):
+        c = np.asarray(feat).shape[0]
+        if c != channels:
+            raise ShapeError(f"teacher {t} has {c} channels, segmentation features have {channels}")
+        yield gram(feat), weight
+
+
 def sdkt_loss(d_seg: np.ndarray, teachers) -> float:
     """Weighted squared-Frobenius gap between teacher Grams and the seg Gram.
 
@@ -45,14 +54,9 @@ def sdkt_loss(d_seg: np.ndarray, teachers) -> float:
     must match.  Non-negative; zero iff every teacher Gram equals the seg Gram.
     """
     g_seg = gram(d_seg)
-    c = g_seg.shape[0]
     total = 0.0
-    for m, (feat, weight) in enumerate(teachers):
-        if np.asarray(feat).shape[0] != c:
-            raise ShapeError(
-                f"teacher {m} has {np.asarray(feat).shape[0]} channels, segmentation features have {c}"
-            )
-        diff = gram(feat) - g_seg
+    for g_teacher, weight in _teacher_grams(g_seg.shape[0], teachers):
+        diff = g_teacher - g_seg
         total += weight * float(np.sum(diff * diff))
     return total
 
@@ -65,17 +69,11 @@ def sdkt_grad(d_seg: np.ndarray, teachers) -> np.ndarray:
     """
     x = np.asarray(d_seg)
     m = _as_matrix(x)
-    c, n = m.shape
-    norm = c * n
     g_seg = gram(x)
     acc = np.zeros_like(g_seg)
-    for t, (feat, weight) in enumerate(teachers):
-        if np.asarray(feat).shape[0] != c:
-            raise ShapeError(
-                f"teacher {t} has {np.asarray(feat).shape[0]} channels, segmentation features have {c}"
-            )
-        acc += weight * (g_seg - gram(feat))
-    grad = (4.0 / norm) * (acc @ m)
+    for g_teacher, weight in _teacher_grams(m.shape[0], teachers):
+        acc += weight * (g_seg - g_teacher)
+    grad = (4.0 / m.size) * (acc @ m)
     return grad.reshape(x.shape)
 
 

@@ -315,6 +315,85 @@ class TestCounting:
         assert 6.0 <= big / small <= 8.5  # ~8x voxels, minus fixed per-voxel terms
 
 
+# The five seed-3 configs of the walk tests, all built at 32^3.
+WALK_BASE = NetworkConfig(input_extent=(32, 32, 32))
+WALK_CONFIGS = {
+    "default": WALK_BASE,
+    "m4": replace(WALK_BASE, modalities=4),
+    "m4_early_fusion": replace(WALK_BASE, modalities=4, early_fusion=True),
+    "conv_only": conv_only(WALK_BASE),
+    "narrow_head": replace(WALK_BASE, head_width=3, num_classes=5, patch_stride=2,
+                           conv_depth=(1, 1, 1, 1), decoder_depth=2),
+}
+WALK_CALLEES = ("pointwise_conv", "gelu", "downsample_conv", "jlc_forward", "pwa_forward", "layer_norm",
+                "voxel_shuffle")
+FLOP_GROUPS = ("stem", "encoder_conv", "attention", "fusion", "downsample", "decoder", "head")
+# config -> (forward calls, param_count, flop_breakdown at 32^3, flop_breakdown at 64^3), values
+# in FLOP_GROUPS order, as computed by the hand-written per-group sums the walk replaced.
+PINNED_COSTS = {
+    "default": (75, 1266718,
+                (22044672, 14662400, 13618176, 502400, 2760576, 10119680, 4915200),
+                (176357376, 117299200, 170213376, 4019200, 22084608, 80957440, 39321600)),
+    "m4": (115, 1414986,
+           (26255360, 14662400, 38838272, 502400, 4600960, 10119680, 4915200),
+           (210042880, 117299200, 555515904, 4019200, 36807680, 80957440, 39321600)),
+    "m4_early_fusion": (55, 1245051,
+                        (38813696, 14662400, 5358848, 502400, 1840384, 10119680, 4915200),
+                        (310509568, 117299200, 58220544, 4019200, 14723072, 80957440, 39321600)),
+    "conv_only": (39, 1038698,
+                  (22044672, 14662400, 0, 502400, 2760576, 10119680, 4915200),
+                  (176357376, 117299200, 0, 4019200, 22084608, 80957440, 39321600)),
+    "narrow_head": (73, 2008892,
+                    (22216704, 57436160, 170213376, 4019200, 22084608, 135966720, 4390912),
+                    (177733632, 459489280, 1441529856, 32153600, 176676864, 1087733760, 35127296)),
+}
+
+
+def recorded_forward_calls(monkeypatch, net):
+    """(callee, id(params) or None, input shape) per module-level call ``forward`` makes."""
+    calls = []
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            first = args[0][0] if name == "pwa_forward" else args[0]
+            params = None if name in ("gelu", "voxel_shuffle") else id(args[1])
+            calls.append((name, params, first.shape))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in WALK_CALLEES:
+        monkeypatch.setattr(network, name, wrap(name, getattr(network, name)))
+    rng = np.random.default_rng(11)
+    cfg = net.config
+    volumes = [rng.standard_normal((1, *cfg.input_extent)).astype(np.float32) for _ in range(cfg.modalities)]
+    forward(net, volumes)
+    return calls
+
+
+class TestWalk:
+    """``flop_breakdown`` sums ``_walk``, and ``_walk`` lists ``forward``'s calls."""
+
+    @pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
+    def test_walk_equals_forward_calls(self, monkeypatch, name):
+        net = build(WALK_CONFIGS[name], seed=3)
+        walked = [
+            (callee, None if params is None else id(params), shape)
+            for _, callee, params, shape, _ in network._walk(net)
+        ]
+        recorded = recorded_forward_calls(monkeypatch, net)
+        assert len(recorded) == PINNED_COSTS[name][0]
+        assert walked == recorded
+
+    @pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
+    def test_costs_pinned(self, name):
+        net = build(WALK_CONFIGS[name], seed=3)
+        _, params, at_build, at_64 = PINNED_COSTS[name]
+        assert param_count(net) == params
+        assert list(flop_breakdown(net).items()) == list(zip(FLOP_GROUPS, at_build))
+        assert list(flop_breakdown(net, (64, 64, 64)).items()) == list(zip(FLOP_GROUPS, at_64))
+
+
 # One payload of the wrong JSON kind per NetworkConfig field.
 WRONG_KIND = {
     "modalities": "2",

@@ -431,6 +431,28 @@ class TestAttentionChunks:
         for w, start in zip(sink, (0, 4, 8)):
             np.testing.assert_array_equal(w, want_weights[start : start + w.shape[0]])
 
+    def test_per_head_bias_chunked(self, monkeypatch):
+        """An [n_head, T, T] bias gives the single-chunk result when the batch spans several chunks."""
+        rng = np.random.default_rng(20)
+        n, n_head, c_hat, tokens = 11, 2, 3, 6
+        q, k, v = (rng.standard_normal((n, n_head, c_hat, tokens)).astype(np.float32) for _ in range(3))
+        bias = rng.standard_normal((n_head, tokens, tokens)).astype(np.float32)
+        whole = grouped_attention(q, k, v, bias)
+        monkeypatch.setattr(pwa, "_CHUNK_BUDGET", 4 * n_head * tokens * tokens)
+        np.testing.assert_array_equal(grouped_attention(q, k, v, bias), whole)
+        np.testing.assert_array_equal(whole, fresh_softmax_attention(q, k, v, bias)[0])
+
+    @pytest.mark.parametrize("bias_shape", [(11, 2, 6, 6), (1, 2, 6, 6), (3, 6, 6), (6,), (6, 5)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("windows_per_chunk", [4, 11])
+    def test_bias_shape_rejected_up_front(self, monkeypatch, bias_shape, windows_per_chunk):
+        """Only [T, T] and [n_head, T, T] biases are accepted, whatever the chunking."""
+        n, n_head, c_hat, tokens = 11, 2, 3, 6
+        q = np.zeros((n, n_head, c_hat, tokens), dtype=np.float32)
+        monkeypatch.setattr(pwa, "_CHUNK_BUDGET", windows_per_chunk * n_head * tokens * tokens)
+        with pytest.raises(ShapeError, match="position bias shape"):
+            grouped_attention(q, q, q, np.zeros(bias_shape, dtype=np.float32))
+
 
 class TestPwaForward:
     def test_zero_weights_residual_identity(self):

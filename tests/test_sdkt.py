@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pwseg import sdkt
 from pwseg.errors import ShapeError
 from pwseg.sdkt import gram, mmd_poly2, sdkt_grad, sdkt_loss
 
@@ -123,6 +124,49 @@ class TestGrad:
         x = rng.standard_normal((6, 2, 3, 4))
         g = sdkt_grad(x, [(rng.standard_normal((6, 5, 5, 5)), 1.0)])
         assert g.shape == x.shape
+
+
+class TestTeachers:
+    """Loss and gradient share one teacher check and one Gram per teacher."""
+
+    def teachers(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        return x, [(rng.standard_normal((4, 2, 2, 2)).astype(np.float32), 0.8),
+                   (rng.standard_normal((4, 5)).astype(np.float32), 1.7)]
+
+    def test_bitwise_against_direct_formulas(self):
+        x, teachers = self.teachers()
+        g_seg = gram(x)
+        loss = 0.0
+        acc = np.zeros_like(g_seg)
+        for feat, weight in teachers:
+            diff = gram(feat) - g_seg
+            loss += weight * float(np.sum(diff * diff))
+            acc += weight * (g_seg - gram(feat))
+        m = x.reshape(4, -1)
+        assert sdkt_loss(x, teachers) == loss
+        np.testing.assert_array_equal(sdkt_grad(x, teachers), ((4.0 / m.size) * (acc @ m)).reshape(x.shape))
+
+    @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
+    def test_one_gram_per_tensor(self, monkeypatch, fn):
+        x, teachers = self.teachers()
+        calls = []
+
+        def counted(feat):
+            calls.append(np.shape(feat))
+            return gram(feat)
+
+        monkeypatch.setattr(sdkt, "gram", counted)
+        fn(x, teachers)
+        assert calls == [x.shape, (4, 2, 2, 2), (4, 5)]
+
+    @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
+    def test_channel_mismatch_names_teacher(self, fn):
+        x, teachers = self.teachers()
+        teachers.append((np.zeros((3, 8), dtype=np.float32), 1.0))
+        with pytest.raises(ShapeError, match="teacher 2 has 3 channels"):
+            fn(x, teachers)
 
 
 class TestMmd:
