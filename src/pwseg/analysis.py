@@ -67,9 +67,9 @@ def mad(inp: MadInput) -> float:
     row_sums = w.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > 1e-3:
         worst = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise ValueError(f"attention row {worst} sums to {row_sums[worst]:.6f}, not 1")
+        raise DomainError(f"attention row {worst} sums to {row_sums[worst]:.6f}, not 1")
     if w.min() < -1e-9:
-        raise ValueError(f"attention weights must be non-negative, min is {w.min():.3e}")
+        raise DomainError(f"attention weights must be non-negative, min is {w.min():.3e}")
     d, h, ww = inp.grid
     idx = np.arange(l)
     z = idx // (h * ww)

@@ -1,4 +1,4 @@
-"""Grouped multi-kernel convolution block (one unit of the conv encoder).
+"""Grouped multi-kernel convolution block (one unit of the conv encoder and decoder).
 
 The block splits its channels into three contiguous chunks, runs one grouped
 convolution per chunk at kernel sizes (1, 3, 5), concatenates, normalizes and
@@ -48,11 +48,9 @@ def branch_channel_split(channels: int, group_size: int, n_branches: int = 3) ->
 
 @dataclass(frozen=True)
 class JlcBlockParams:
-    """Parameters of one conv-encoder block.
+    """Parameters of one conv block.
 
-    ``branches`` are the per-chunk grouped convolutions (kernels ascending);
-    ``mixer``, when present, is a pointwise projection applied before the
-    branches (used to fuse concatenated inputs down to the block width).
+    ``branches`` are the per-chunk grouped convolutions (kernels ascending).
     """
 
     branches: tuple[ConvParams, ...]
@@ -63,7 +61,6 @@ class JlcBlockParams:
     ffn_norm_shift: np.ndarray
     ffn_expand: ConvParams
     ffn_project: ConvParams
-    mixer: ConvParams | None = None
 
     def __post_init__(self):
         widths = [b.c_out for b in self.branches]
@@ -77,8 +74,6 @@ class JlcBlockParams:
                 )
         if self.ffn_expand.c_in != c or self.ffn_project.c_out != c:
             raise ConfigError("feed-forward convs must map block width to block width")
-        if self.mixer is not None and self.mixer.c_out != c:
-            raise ConfigError(f"mixer must emit block width {c}, got {self.mixer.c_out}")
 
     @property
     def channels(self) -> int:
@@ -90,11 +85,7 @@ class JlcBlockParams:
 
 
 def jlc_forward(x: np.ndarray, p: JlcBlockParams) -> np.ndarray:
-    """Run one conv block: [mixer ->] branches -> norm -> act -> residual -> FFN."""
-    if p.mixer is not None:
-        if x.shape[0] != p.mixer.c_in:
-            raise ConfigError(f"block mixer expects {p.mixer.c_in} channels, got {x.shape[0]}")
-        x = pointwise_conv(x, p.mixer)
+    """Run one conv block: branches -> norm -> act -> residual -> FFN."""
     if x.shape[0] != p.channels:
         raise ConfigError(f"block expects {p.channels} channels, got {x.shape[0]}")
     outs = []
@@ -116,7 +107,6 @@ def build_jlc_block(
     group_size: int,
     expansion: int,
     kernels=DEFAULT_KERNELS,
-    mixer_in: int | None = None,
 ) -> JlcBlockParams:
     """Construct a block with seeded truncated-normal weights and zero biases."""
     widths = branch_channel_split(channels, group_size, len(kernels))
@@ -130,9 +120,6 @@ def build_jlc_block(
     hidden = expansion * channels
     ffn_expand = init_conv(rng, hidden, channels)
     ffn_project = init_conv(rng, channels, hidden)
-    mixer = None
-    if mixer_in is not None:
-        mixer = init_conv(rng, channels, mixer_in)
     return JlcBlockParams(
         branches=branches,
         group_size=group_size,
@@ -142,5 +129,4 @@ def build_jlc_block(
         ffn_norm_shift=ffn_norm_shift,
         ffn_expand=ffn_expand,
         ffn_project=ffn_project,
-        mixer=mixer,
     )

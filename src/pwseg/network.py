@@ -4,10 +4,12 @@ The encoder runs two parallel four-stage streams on a shared downsampling
 grid (stride 4 patch embed, then stride 2 between stages): a modal-fused
 convolution stream of grouped multi-kernel blocks, and a per-modality
 attention stream of paired-window blocks with weights shared across
-modalities.  Stage outputs fuse additively into skip tensors.  The decoder
-upsamples with pointwise-expansion + voxel shuffle, concatenates the skip,
-and applies one conv block per level; the classification head runs on the
-last expansion and a final shuffle restores full resolution.
+modalities.  Stage outputs fuse additively into skip tensors.  Each decoder
+level upsamples with pointwise-expansion + voxel shuffle, concatenates the
+skip, projects the concatenation back to the level width with its own
+pointwise conv (``DecoderStage.fuse``) and applies ``decoder_depth`` conv
+blocks; the classification head runs on the last expansion and a final
+shuffle restores full resolution.
 """
 
 from __future__ import annotations
@@ -256,7 +258,10 @@ class StageParams:
 
 @dataclass(frozen=True)
 class DecoderStage:
+    """One decoder level: upsampling expansion, concat projection, conv blocks."""
+
     up_proj: ConvParams
+    fuse: ConvParams
     blocks: tuple[JlcBlockParams, ...]
 
 
@@ -265,7 +270,6 @@ class Network:
     """Immutable parameter bundle; safe to share across threads."""
 
     config: NetworkConfig
-    seed: int
     modal_mixer: ConvParams
     jlc_embed: ConvParams
     pwa_embed: ConvParams
@@ -325,22 +329,18 @@ def build(cfg: NetworkConfig, seed: int) -> Network:
         c_src = widths[k + 1]
         c = widths[k]
         up_proj = init_conv(rng, 8 * c_src, c_src)
-        blocks = [
-            build_jlc_block(
-                rng, c, cfg.group_sizes[k], cfg.expansion_ratios[k], cfg.kernels,
-                mixer_in=c_src + c,
-            )
-        ]
+        blocks = [build_jlc_block(rng, c, cfg.group_sizes[k], cfg.expansion_ratios[k], cfg.kernels)]
+        # drawn after the first block: the draw order fixes every later weight of a seed
+        fuse = init_conv(rng, c, c_src + c)
         for _ in range(cfg.decoder_depth - 1):
             blocks.append(build_jlc_block(rng, c, cfg.group_sizes[k], cfg.expansion_ratios[k], cfg.kernels))
-        decoder.append(DecoderStage(up_proj=up_proj, blocks=tuple(blocks)))
+        decoder.append(DecoderStage(up_proj=up_proj, fuse=fuse, blocks=tuple(blocks)))
 
     final_expand = init_conv(rng, s**3 * cfg.head_width, c1)
     head = init_conv(rng, cfg.num_classes, cfg.head_width)
 
     return Network(
         config=cfg,
-        seed=seed,
         modal_mixer=modal_mixer,
         jlc_embed=jlc_embed,
         pwa_embed=pwa_embed,
@@ -396,7 +396,7 @@ def forward(net: Network, volumes) -> np.ndarray:
     x = skips[-1]
     for dec, skip in zip(net.decoder, reversed(skips[:-1])):
         x = voxel_shuffle(pointwise_conv(x, dec.up_proj), 2)
-        x = np.concatenate([x, skip], axis=0)
+        x = pointwise_conv(np.concatenate([x, skip], axis=0), dec.fuse)
         for blk in dec.blocks:
             x = jlc_forward(x, blk)
 
@@ -430,11 +430,7 @@ def _conv_flops(n_voxels: int, p: ConvParams) -> int:
 
 def _jlc_block_flops(n_voxels: int, blk: JlcBlockParams) -> int:
     c = blk.channels
-    total = 0
-    if blk.mixer is not None:
-        total += _conv_flops(n_voxels, blk.mixer)
-    for b in blk.branches:
-        total += _conv_flops(n_voxels, b)
+    total = sum(_conv_flops(n_voxels, b) for b in blk.branches)
     total += 2 * n_voxels * c  # post-concat norm + activation, 1 op/element
     total += 2 * n_voxels * c  # FFN norm + residual path activation elements
     total += _conv_flops(n_voxels, blk.ffn_expand)
@@ -488,9 +484,9 @@ def _walk(net: Network, extent=None):
     for dec, k in zip(net.decoder, (2, 1, 0)):
         yield conv("decoder", dec.up_proj, ext[k + 1])
         yield "decoder", "voxel_shuffle", None, (dec.up_proj.c_out, *ext[k + 1]), 0
+        yield conv("decoder", dec.fuse, ext[k])
         for blk in dec.blocks:
-            c_in = blk.channels if blk.mixer is None else blk.mixer.c_in
-            yield "decoder", "jlc_forward", blk, (c_in, *ext[k]), _jlc_block_flops(prod(ext[k]), blk)
+            yield "decoder", "jlc_forward", blk, (blk.channels, *ext[k]), _jlc_block_flops(prod(ext[k]), blk)
     yield conv("head", net.final_expand, ext[0])
     yield conv("head", net.head, extent)
     yield "head", "voxel_shuffle", None, (net.head.c_out * cfg.patch_stride**3, *ext[0]), 0

@@ -67,6 +67,11 @@ class WindowSchedule:
         )
 
 
+def _check_rate(r: int) -> None:
+    if r < 2:
+        raise ScheduleError(f"expansion rate must be >= 2, got {r}")
+
+
 def window_schedule(extent, big1, small1=(1, 1, 1), r: int = 2) -> WindowSchedule:
     """Build the pair list for ``extent`` from the smallest pair (big1, small1).
 
@@ -76,8 +81,7 @@ def window_schedule(extent, big1, small1=(1, 1, 1), r: int = 2) -> WindowSchedul
     extent = tuple(int(e) for e in extent)
     big1 = tuple(int(b) for b in big1)
     small1 = tuple(int(s) for s in small1)
-    if r < 2:
-        raise ScheduleError(f"expansion rate must be >= 2, got {r}")
+    _check_rate(r)
     steps = set()
     for axis, e, b, s in zip(SPATIAL_AXES, extent, big1, small1):
         if s <= 0 or b <= 0 or e <= 0:
@@ -114,8 +118,10 @@ def fit_big_window(extent, minimum, r: int = 2) -> tuple[int, int, int]:
 
     Per axis, candidates are extent / r**j; the number of expansions is the
     largest j feasible on every axis simultaneously.  Falls back to the full
-    extent on axes smaller than the requested minimum.
+    extent on axes smaller than the requested minimum.  Raises ScheduleError
+    for a rate below 2, where no schedule expands.
     """
+    _check_rate(r)
     extent = tuple(int(e) for e in extent)
     minimum = tuple(int(m) for m in minimum)
     best = []
@@ -212,22 +218,13 @@ class CostMeter:
         self.multiplies += windows * (4 * tokens * width * width + 2 * tokens * tokens * width)
 
 
-def grouped_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    pos_bias: np.ndarray,
-    *,
-    weight_sink: list | None = None,
-) -> np.ndarray:
+def grouped_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, pos_bias: np.ndarray) -> np.ndarray:
     """Scaled dot-product attention over a batch of gathered windows.
 
-    Inputs are [n, n_head, c_hat, T].  ``pos_bias`` is one [T, T] table for
-    every head or one table per head, [n_head, T, T]; all n windows share it.
-    Per window and head the weights are softmax(q^T k / sqrt(c_hat) + pos_bias)
-    and the output token j is the weight-j-row combination of value tokens.
-    Set ``weight_sink`` to a list to capture the attention weight matrices
-    (off by default; it materializes one T x T matrix per window).
+    Inputs are [n, n_head, c_hat, T].  ``pos_bias`` is one [T, T] table
+    shared by every head and all n windows.  Per window and head the weights
+    are softmax(q^T k / sqrt(c_hat) + pos_bias) and the output token j is the
+    weight-j-row combination of value tokens.
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(f"q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
@@ -235,9 +232,8 @@ def grouped_attention(
         raise ShapeError(f"sequence batch must be rank 4 [n, heads, c, T], got rank {q.ndim}")
     n, n_head, c_hat, tokens = q.shape
     pos_bias = np.asarray(pos_bias, dtype=q.dtype)
-    accepted = ((tokens, tokens), (n_head, tokens, tokens))  # [T, T] or [n_head, T, T]
-    if pos_bias.shape not in accepted:
-        raise ShapeError(f"position bias shape {pos_bias.shape} is not one of {accepted}")
+    if pos_bias.shape != (tokens, tokens):
+        raise ShapeError(f"position bias shape {pos_bias.shape} != {(tokens, tokens)}")
     scale = q.dtype.type(1.0 / np.sqrt(c_hat))
     out = np.empty_like(q)
     chunk = max(1, _CHUNK_BUDGET // max(1, n_head * tokens * tokens))
@@ -247,8 +243,6 @@ def grouped_attention(
         logits *= scale
         logits += pos_bias
         weights = softmax_rows(logits)
-        if weight_sink is not None:
-            weight_sink.append(weights)
         out[start:stop] = v[start:stop] @ np.swapaxes(weights, 2, 3)
     return out
 

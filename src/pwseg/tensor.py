@@ -1,15 +1,16 @@
 """Dense-tensor substrate: layout, windowing, pooling, convolution, norms.
 
-Feature tensors are plain float32 numpy arrays in one canonical layout:
+Feature tensors are plain float32 numpy arrays of rank 4,
 
-    rank 5  [modality, channel, depth, height, width]   (C-order)
-    rank 4  [channel, depth, height, width]             (single modality)
+    [channel, depth, height, width]   (C-order)
 
-so modality is the slowest-varying axis and width the fastest.  Every
-operation here except :func:`softmax_rows` is a pure function of its
-inputs; outputs are freshly allocated arrays, never views into mutable
-state.  ``softmax_rows`` overwrites its argument with the result and
-returns it, so attention keeps one logits buffer per chunk.
+so width is the fastest-varying axis.  M modalities travel as a list of M
+such tensors; the rank-5 [modality, channel, D, H, W] array is only the
+``.vxs`` file layout (:mod:`pwseg.volume_io`).  Every operation here
+except :func:`softmax_rows` is a pure function of its inputs; outputs are
+freshly allocated arrays, never views into mutable state.  ``softmax_rows``
+overwrites its argument with the result and returns it, so attention keeps
+one logits buffer per chunk.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ from .errors import ConfigError, NonFiniteError, ShapeError
 DTYPE = np.float32
 
 SPATIAL_AXES = ("depth", "height", "width")
-
-
-def as_tensor5(data) -> np.ndarray:
-    """Coerce ``data`` to a contiguous rank-5 float32 array."""
-    arr = np.ascontiguousarray(data, dtype=DTYPE)
-    if arr.ndim != 5:
-        raise ShapeError(f"expected rank-5 [M, C, D, H, W] array, got rank {arr.ndim}")
-    return arr
 
 
 def require_finite(arr: np.ndarray, what: str = "tensor") -> np.ndarray:

@@ -5,7 +5,7 @@ Files are little-endian and padding-free so they are byte-portable:
     bytes 0..3    magic "VXSG"
     bytes 4..7    version (u32, currently 1)
     bytes 8..27   dims M, C, D, H, W (u32 each)
-    remainder     M*C*D*H*W float32 values, canonical layout (W fastest)
+    remainder     M*C*D*H*W float32 values, [M, C, D, H, W] order (W fastest)
 """
 
 from __future__ import annotations
@@ -20,20 +20,29 @@ import numpy as np
 from .errors import (
     BadMagicError,
     ConfigError,
+    ShapeError,
     TruncatedFileError,
     UnsupportedVersionError,
     VolumeFormatError,
 )
-from .tensor import DTYPE, as_tensor5, require_finite
+from .tensor import DTYPE, require_finite
 
 MAGIC = b"VXSG"
 VERSION = 1
 _HEADER = struct.Struct("<4sI5I")
 
 
+def _as_tensor5(data) -> np.ndarray:
+    """Coerce ``data`` to a contiguous rank-5 float32 array."""
+    arr = np.ascontiguousarray(data, dtype=DTYPE)
+    if arr.ndim != 5:
+        raise ShapeError(f"expected rank-5 [M, C, D, H, W] array, got rank {arr.ndim}")
+    return arr
+
+
 def write(path, t: np.ndarray) -> None:
     """Serialize a rank-5 tensor; read(write(t)) is bit-exact."""
-    t = as_tensor5(t)
+    t = _as_tensor5(t)
     require_finite(t, "volume payload")
     header = _HEADER.pack(MAGIC, VERSION, *t.shape)
     Path(path).write_bytes(header + t.astype("<f4").tobytes())

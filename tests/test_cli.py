@@ -192,6 +192,18 @@ class TestErrorExit:
         assert lines[0].startswith("error:") and field in lines[0]
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "fill, corner, message", [(0.5, 0.5, "sums to"), (0.125, -0.25, "non-negative")]
+    )
+    def test_mad_non_stochastic_matrix(self, capsys, tmp_path, fill, corner, message):
+        """Rows summing to 4, or a negative weight in rows that sum to 1."""
+        w = np.full((8, 8), fill, dtype=np.float32)
+        w[0, :2] = corner, 2 * fill - corner
+        volume_io.write(tmp_path / "w.vxs", w[None, None, None])
+        code, lines = run_cli_error(capsys, "mad", "--weights", str(tmp_path / "w.vxs"), "--grid", "2x2x2")
+        assert code == 2 and len(lines) == 1
+        assert lines[0].startswith("error:") and message in lines[0]
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_plan_groups_non_finite_alpha(self, capsys, alpha):
         code, lines = run_cli_error(capsys, "plan-groups", "--modalities", "2", "--alpha", alpha)

@@ -34,7 +34,6 @@ def zeroed(block: JlcBlockParams) -> JlcBlockParams:
         ffn_norm_shift=block.ffn_norm_shift,
         ffn_expand=z(block.ffn_expand),
         ffn_project=z(block.ffn_project),
-        mixer=None if block.mixer is None else z(block.mixer),
     )
 
 
@@ -162,14 +161,6 @@ class TestForward:
                     np.testing.assert_array_equal(a[g * per : (g + 1) * per], b[g * per : (g + 1) * per])
             offset += width
 
-    def test_mixer_preprojection(self):
-        rng = np.random.default_rng(4)
-        block = build_jlc_block(rng, 8, 2, expansion=2, mixer_in=12)
-        x = rng.standard_normal((12, 4, 4, 4)).astype(np.float32)
-        out = jlc_forward(x, block)
-        assert out.shape == (8, 4, 4, 4)
-        assert np.all(np.isfinite(out))
-
     def test_wrong_channel_count(self):
         rng = np.random.default_rng(5)
         block = build_jlc_block(rng, 8, 2, expansion=2)
@@ -196,13 +187,12 @@ class TestParamCount:
 
     def test_count_equals_stored_reals(self):
         rng = np.random.default_rng(7)
-        block = build_jlc_block(rng, 32, 8, expansion=2, mixer_in=48)
+        block = build_jlc_block(rng, 32, 8, expansion=2)
         stored = sum(b.weight.size + b.bias.size for b in block.branches)
         stored += block.norm_scale.size + block.norm_shift.size
         stored += block.ffn_norm_scale.size + block.ffn_norm_shift.size
         stored += block.ffn_expand.weight.size + block.ffn_expand.bias.size
         stored += block.ffn_project.weight.size + block.ffn_project.bias.size
-        stored += block.mixer.weight.size + block.mixer.bias.size
         assert param_count(block) == stored
 
     def test_group_monotonicity(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pwseg import network
-from pwseg.errors import ConfigError, NonFiniteError, ShapeError
+from pwseg.errors import ConfigError, NonFiniteError, ScheduleError, ShapeError
 from pwseg.network import (
     NetworkConfig,
     attention_stage_flops,
@@ -39,13 +39,11 @@ def symbolic_param_count(cfg: NetworkConfig) -> int:
     def conv(c_out, c_in, k=1, groups=1, bias=True):
         return c_out * (c_in // groups) * k**3 + (c_out if bias else 0)
 
-    def jlc(c, gs, e, mixer_in=None):
+    def jlc(c, gs, e):
         widths = split(c, gs)
         n = sum(conv(w, w, k, groups=w // gs) for w, k in zip(widths, cfg.kernels))
         n += 4 * c  # two norms, scale + shift each
         n += conv(e * c, c) + conv(c, e * c)
-        if mixer_in is not None:
-            n += conv(c, mixer_in)
         return n
 
     def pwa(c, n_win, seq, e, n_head):
@@ -75,8 +73,8 @@ def symbolic_param_count(cfg: NetworkConfig) -> int:
     for k in (2, 1, 0):
         c_src, c = widths[k + 1], widths[k]
         total += conv(8 * c_src, c_src)
-        total += jlc(c, cfg.group_sizes[k], cfg.expansion_ratios[k], mixer_in=c_src + c)
-        total += (cfg.decoder_depth - 1) * jlc(c, cfg.group_sizes[k], cfg.expansion_ratios[k])
+        total += conv(c, c_src + c)  # concat projection
+        total += cfg.decoder_depth * jlc(c, cfg.group_sizes[k], cfg.expansion_ratios[k])
     total += conv(s**3 * cfg.head_width, widths[0])
     total += conv(cfg.num_classes, cfg.head_width)
     return total
@@ -122,6 +120,15 @@ class TestBuild:
     def test_bad_extent_rejected(self):
         with pytest.raises((ConfigError, ShapeError)):
             build(replace(SMALL, input_extent=(48, 48, 48)), seed=0)
+
+    @pytest.mark.parametrize("cfg", [SMALL, replace(SMALL, decoder_depth=2)], ids=["depth1", "depth2"])
+    def test_decoder_fuse_projects_concat_to_level_width(self, cfg):
+        """Each level's fuse maps [upsampled, skip] channels to the width its blocks take."""
+        net = build(cfg, seed=0)
+        for dec, k in zip(net.decoder, (2, 1, 0)):
+            c_src, c = cfg.stage_widths[k + 1], cfg.stage_widths[k]
+            assert (dec.fuse.c_out, dec.fuse.c_in, dec.fuse.kernel) == (c, c_src + c, 1)
+            assert [blk.channels for blk in dec.blocks] == [c] * cfg.decoder_depth
 
     def test_stage_extents(self):
         cfg = NetworkConfig()
@@ -302,6 +309,14 @@ class TestCounting:
             want = pwa_flops(cfg.stage_extents()[k], sched, cfg.stage_widths[k], cfg.modalities)
             assert got == want * cfg.attention_depth[k]
 
+    def test_rate_below_two_fails_fast(self):
+        """The cost model and the schedule raise on r=1 without running validate_config."""
+        cfg = NetworkConfig(r=1)
+        with pytest.raises(ScheduleError, match="expansion rate"):
+            attention_stage_flops(cfg)
+        with pytest.raises(ScheduleError, match="expansion rate"):
+            cfg.stage_schedule(0)
+
     def test_conv_only_disables_attention_costs(self):
         cfg = conv_only(NetworkConfig())
         net = build(cfg, seed=0)
@@ -331,19 +346,19 @@ FLOP_GROUPS = ("stem", "encoder_conv", "attention", "fusion", "downsample", "dec
 # config -> (forward calls, param_count, flop_breakdown at 32^3, flop_breakdown at 64^3), values
 # in FLOP_GROUPS order, as computed by the hand-written per-group sums the walk replaced.
 PINNED_COSTS = {
-    "default": (75, 1266718,
+    "default": (78, 1266718,
                 (22044672, 14662400, 13618176, 502400, 2760576, 10119680, 4915200),
                 (176357376, 117299200, 170213376, 4019200, 22084608, 80957440, 39321600)),
-    "m4": (115, 1414986,
+    "m4": (118, 1414986,
            (26255360, 14662400, 38838272, 502400, 4600960, 10119680, 4915200),
            (210042880, 117299200, 555515904, 4019200, 36807680, 80957440, 39321600)),
-    "m4_early_fusion": (55, 1245051,
+    "m4_early_fusion": (58, 1245051,
                         (38813696, 14662400, 5358848, 502400, 1840384, 10119680, 4915200),
                         (310509568, 117299200, 58220544, 4019200, 14723072, 80957440, 39321600)),
-    "conv_only": (39, 1038698,
+    "conv_only": (42, 1038698,
                   (22044672, 14662400, 0, 502400, 2760576, 10119680, 4915200),
                   (176357376, 117299200, 0, 4019200, 22084608, 80957440, 39321600)),
-    "narrow_head": (73, 2008892,
+    "narrow_head": (76, 2008892,
                     (22216704, 57436160, 170213376, 4019200, 22084608, 135966720, 4390912),
                     (177733632, 459489280, 1441529856, 32153600, 176676864, 1087733760, 35127296)),
 }

@@ -22,7 +22,7 @@ from pwseg.pwa import (
     scatter,
     window_schedule,
 )
-from pwseg.tensor import ConvParams, max_pool3, window_merge, window_partition
+from pwseg.tensor import ConvParams, max_pool3, softmax_rows, window_merge, window_partition
 
 
 def random_params(rng, channels, sched, modalities, n_head=1, c_min=4, scale=0.5):
@@ -283,6 +283,12 @@ class TestWindowSchedule:
         assert fit_big_window((2, 2, 2), (3, 3, 3)) == (2, 2, 2)
         assert fit_big_window((32, 32, 16), (4, 4, 2)) == (4, 4, 2)
 
+    @pytest.mark.parametrize("r", [1, 0])
+    def test_fit_big_window_rejects_rate_below_two(self, r):
+        """No window expands at r < 2; the search would loop forever at r=1."""
+        with pytest.raises(ScheduleError, match=f"expansion rate must be >= 2, got {r}"):
+            fit_big_window((24, 24, 24), (3, 3, 3), r)
+
 
 class TestGatherScatter:
     def test_gather_shape_example(self):
@@ -376,15 +382,6 @@ class TestGroupedAttention:
         out = grouped_attention(q, k, v, bias)
         np.testing.assert_allclose(out, v, atol=1e-4)
 
-    def test_weight_sink_capture(self):
-        rng = np.random.default_rng(8)
-        q = rng.standard_normal((4, 2, 3, 5)).astype(np.float32)
-        sink = []
-        grouped_attention(q, q, q, np.zeros((5, 5), dtype=np.float32), weight_sink=sink)
-        weights = np.concatenate(sink, axis=0)
-        assert weights.shape == (4, 2, 5, 5)
-        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-5)
-
     def test_shape_mismatch(self):
         q = np.zeros((1, 1, 2, 3), dtype=np.float32)
         with pytest.raises(ShapeError):
@@ -415,13 +412,20 @@ class TestAttentionChunks:
         bias = rng.standard_normal((tokens, tokens)).astype(np.float32)
         want, want_weights = fresh_softmax_attention(q, k, v, bias)
 
-        whole_sink = []
-        whole = grouped_attention(q, k, v, bias, weight_sink=whole_sink)
-        assert len(whole_sink) == 1
+        sink = []
+
+        def recording_softmax(logits):
+            """softmax_rows, keeping each chunk's weights."""
+            sink.append(softmax_rows(logits))
+            return sink[-1]
+
+        monkeypatch.setattr(pwa, "softmax_rows", recording_softmax)
+        whole = grouped_attention(q, k, v, bias)
+        assert len(sink) == 1
         # four windows per chunk: chunks of 4, 4 and a remainder of 3
         monkeypatch.setattr(pwa, "_CHUNK_BUDGET", 4 * n_head * tokens * tokens)
-        sink = []
-        chunked = grouped_attention(q, k, v, bias, weight_sink=sink)
+        sink.clear()
+        chunked = grouped_attention(q, k, v, bias)
 
         np.testing.assert_array_equal(whole, want)
         np.testing.assert_array_equal(chunked, whole)
@@ -431,22 +435,11 @@ class TestAttentionChunks:
         for w, start in zip(sink, (0, 4, 8)):
             np.testing.assert_array_equal(w, want_weights[start : start + w.shape[0]])
 
-    def test_per_head_bias_chunked(self, monkeypatch):
-        """An [n_head, T, T] bias gives the single-chunk result when the batch spans several chunks."""
-        rng = np.random.default_rng(20)
-        n, n_head, c_hat, tokens = 11, 2, 3, 6
-        q, k, v = (rng.standard_normal((n, n_head, c_hat, tokens)).astype(np.float32) for _ in range(3))
-        bias = rng.standard_normal((n_head, tokens, tokens)).astype(np.float32)
-        whole = grouped_attention(q, k, v, bias)
-        monkeypatch.setattr(pwa, "_CHUNK_BUDGET", 4 * n_head * tokens * tokens)
-        np.testing.assert_array_equal(grouped_attention(q, k, v, bias), whole)
-        np.testing.assert_array_equal(whole, fresh_softmax_attention(q, k, v, bias)[0])
-
-    @pytest.mark.parametrize("bias_shape", [(11, 2, 6, 6), (1, 2, 6, 6), (3, 6, 6), (6,), (6, 5)],
+    @pytest.mark.parametrize("bias_shape", [(11, 2, 6, 6), (1, 2, 6, 6), (2, 6, 6), (3, 6, 6), (6,), (6, 5)],
                              ids=lambda shape: "x".join(map(str, shape)))
     @pytest.mark.parametrize("windows_per_chunk", [4, 11])
     def test_bias_shape_rejected_up_front(self, monkeypatch, bias_shape, windows_per_chunk):
-        """Only [T, T] and [n_head, T, T] biases are accepted, whatever the chunking."""
+        """Only a [T, T] bias is accepted, whatever the chunking."""
         n, n_head, c_hat, tokens = 11, 2, 3, 6
         q = np.zeros((n, n_head, c_hat, tokens), dtype=np.float32)
         monkeypatch.setattr(pwa, "_CHUNK_BUDGET", windows_per_chunk * n_head * tokens * tokens)
