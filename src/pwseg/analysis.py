@@ -65,10 +65,11 @@ def mad(inp: MadInput) -> float:
     w = inp.weights
     l = w.shape[0]
     row_sums = w.sum(axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > 1e-3:
+    # Written as "not (ok)" so that a NaN anywhere fails the check.
+    if not (np.max(np.abs(row_sums - 1.0)) <= 1e-3):
         worst = int(np.argmax(np.abs(row_sums - 1.0)))
         raise DomainError(f"attention row {worst} sums to {row_sums[worst]:.6f}, not 1")
-    if w.min() < -1e-9:
+    if not (w.min() >= -1e-9):
         raise DomainError(f"attention weights must be non-negative, min is {w.min():.3e}")
     d, h, ww = inp.grid
     idx = np.arange(l)

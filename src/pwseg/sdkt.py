@@ -10,9 +10,18 @@ counts this objective is exactly MMD^2 with the kernel (u^T v)^2 scaled by
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
+
+# Unsigned view and sign-plus-mantissa mask of each float type the column key
+# covers; the exponent is masked out so x and 2^k x share a key.
+_SIGN_AND_MANTISSA = {
+    np.dtype(np.float32): (np.uint32, 0x807FFFFF),
+    np.dtype(np.float64): (np.uint64, 0x800FFFFFFFFFFFFF),
+}
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:
@@ -20,7 +29,41 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim < 2:
         raise ShapeError(f"feature tensor must have a channel axis plus voxels, got rank {x.ndim}")
+    if x.size == 0:
+        raise ShapeError(f"feature tensor of shape {x.shape} has no channels or no voxels")
     return x.reshape(x.shape[0], -1)
+
+
+def _row_multipliers(rows: int) -> np.ndarray:
+    """One fixed odd 64-bit constant per row: splitmix64 of the row index."""
+    z = np.arange(1, rows + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))) | np.uint64(1)
+
+
+def _column_keys(m: np.ndarray) -> np.ndarray:
+    """Wrapping uint64 sum over rows of (sign and mantissa bits) * row constant."""
+    uint, mask = _SIGN_AND_MANTISSA[m.dtype]
+    keys = np.zeros(m.shape[1], dtype=np.uint64)
+    for row, k in zip(m.view(uint), _row_multipliers(m.shape[0])):
+        keys += (row & mask).astype(np.uint64) * k
+    return keys
+
+
+def _canonical_order(m: np.ndarray) -> np.ndarray:
+    """Column order that depends only on the multiset of columns of ``m``."""
+    if m.dtype not in _SIGN_AND_MANTISSA:
+        return np.lexsort(m[::-1])
+    keys = _column_keys(m)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    tied = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    if tied.size:
+        bits = m.view(_SIGN_AND_MANTISSA[m.dtype][0])
+        if np.any(bits[:, order[tied]] != bits[:, order[tied + 1]]):
+            return np.lexsort(m[::-1])  # two distinct columns share a key
+    return order
 
 
 def gram(x: np.ndarray) -> np.ndarray:
@@ -29,20 +72,27 @@ def gram(x: np.ndarray) -> np.ndarray:
     Voxel columns are sorted into a canonical order before the reduction so
     the result is bit-identical under any spatial permutation of the input
     (summation order would otherwise leak voxel order into the rounding).
+    For float32 and float64 the order is a stable argsort of one 64-bit key
+    per column, a hash of its sign and mantissa bits with the exponent masked
+    out, so x and 2^k x sort alike and power-of-two scales stay exact.  Equal
+    keys on bit-identical columns are harmless; if two distinct columns share
+    a key, or for any other dtype, the columns are lexsorted instead.
     """
     m = _as_matrix(x)
     c, n = m.shape
-    m = m[:, np.lexsort(m[::-1])]
+    m = m[:, _canonical_order(m)]
     g = (m @ m.T) / (c * n)
     return (g + g.T) * 0.5  # exact symmetry despite BLAS rounding
 
 
 def _teacher_grams(channels: int, teachers):
-    """Yield (Gram, weight) per (feature tensor, weight) teacher, checking its channel count."""
+    """Yield (Gram, weight) per (feature tensor, weight) teacher, checking its channels and weight."""
     for t, (feat, weight) in enumerate(teachers):
         c = np.asarray(feat).shape[0]
         if c != channels:
             raise ShapeError(f"teacher {t} has {c} channels, segmentation features have {channels}")
+        if not (math.isfinite(weight) and weight >= 0):
+            raise DomainError(f"teacher {t} has weight {weight!r}; it must be a finite number >= 0")
         yield gram(feat), weight
 
 

@@ -121,6 +121,12 @@ class TestMad:
         with pytest.raises(ShapeError):
             MadInput(np.eye(7), (2, 2, 2))
 
+    def test_nan_weight_rejected(self):
+        w = np.full((8, 8), 0.125)
+        w[3, 5] = np.nan
+        with pytest.raises(DomainError, match="row 3 sums to nan"):
+            mad(MadInput(w, (2, 2, 2)))
+
     @pytest.mark.parametrize("spacing", [np.nan, np.inf, 0.0])
     def test_spacing_must_be_positive_and_finite(self, spacing):
         with pytest.raises(DomainError, match="spacing"):

@@ -1,12 +1,14 @@
 """Gram matrix, transfer loss, analytic gradient, and MMD-equivalence tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwseg import sdkt
-from pwseg.errors import ShapeError
+from pwseg.errors import DomainError, ShapeError
 from pwseg.sdkt import gram, mmd_poly2, sdkt_grad, sdkt_loss
 
 
@@ -59,6 +61,93 @@ class TestGram:
         rng = np.random.default_rng(c * 31 + n)
         x = rng.standard_normal((c, n))
         np.testing.assert_allclose(gram(a * x), a * a * gram(x), atol=1e-9)
+
+
+def lexsort_gram(x):
+    """Oracle: the Gram with its columns in 16-key lexsort order, as before the column keys."""
+    m = sdkt._as_matrix(x)
+    c, n = m.shape
+    m = m[:, np.lexsort(m[::-1])]
+    g = (m @ m.T) / (c * n)
+    return (g + g.T) * 0.5  # exact symmetry despite BLAS rounding
+
+
+def correlated(rng, c, n, dtype=np.float32):
+    mix = rng.standard_normal((c, c)) / np.sqrt(c) + np.eye(c)
+    return (mix @ rng.standard_normal((c, n))).astype(dtype)
+
+
+def power_of_two_integers(rng, shape):
+    """Integer-valued floats (+-1, 3, 5, 7 times 2^0..2^20): few sign-and-mantissa
+    patterns, so many distinct columns share a column key, and products large
+    enough that float32 sums round, so the summation order shows."""
+    odd = rng.choice([-7, -5, -3, -1, 1, 3, 5, 7], size=shape)
+    return (odd * 2.0 ** rng.integers(0, 21, size=shape)).astype(np.float32)
+
+
+def signed_zeros(rng):
+    """Columns of one nonzero entry that repeat up to the signs of their zeros."""
+    x = np.where(rng.random((4, 512)) < 0.5, 0.0, -0.0)
+    x[rng.integers(0, 4, size=512), np.arange(512)] = rng.choice([1.25, -2.75], size=512)
+    return x.astype(np.float32)
+
+
+class TestGramOrder:
+    """The column-key order against the lexsort order it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_close_to_lexsort(self, dtype):
+        """Only the summation order changes: within 1e-6 of the Gram's largest entry."""
+        x = correlated(np.random.default_rng(20), 16, 4096, dtype)
+        want = lexsort_gram(x)
+        np.testing.assert_allclose(gram(x), want, rtol=1e-6, atol=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_key_colliding_falls_back_to_lexsort(self, monkeypatch, dtype):
+        x = correlated(np.random.default_rng(21), 16, 4096, dtype)
+        monkeypatch.setattr(sdkt, "_column_keys", lambda m: np.zeros(m.shape[1], dtype=np.uint64))
+        np.testing.assert_array_equal(gram(x), lexsort_gram(x))
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: power_of_two_integers(rng, (3, 4096)),
+        lambda rng: power_of_two_integers(rng, (3, 4096)).astype(np.float64),
+        lambda rng: rng.integers(-1000, 1000, size=(5, 300)),
+        lambda rng: rng.standard_normal((4, 500)).astype(np.float16),
+    ], ids=["int_valued_f32", "int_valued_f64", "int64", "float16"])
+    def test_bit_exact_with_lexsort(self, make):
+        x = make(np.random.default_rng(22))
+        np.testing.assert_array_equal(gram(x), lexsort_gram(x))
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: correlated(rng, 16, 512)[:, rng.integers(0, 512, size=2048)],
+        signed_zeros,
+        lambda rng: correlated(rng, 8, 3 * 1000)[:, ::3],
+        lambda rng: correlated(rng, 1000, 8).T,
+        lambda rng: correlated(rng, 6, 10 * 12 * 14).reshape(6, 10, 12, 14)[:, ::2, 1:, ::-3],
+        lambda rng: power_of_two_integers(rng, (3, 4096)),
+    ], ids=["duplicate_columns", "signed_zeros", "strided", "transposed", "strided_4d", "key_collisions"])
+    def test_permutation_bit_exact(self, make):
+        rng = np.random.default_rng(23)
+        x = make(rng)
+        m = x.reshape(x.shape[0], -1)
+        g = gram(x)
+        np.testing.assert_array_equal(g, gram(m[:, rng.permutation(m.shape[1])]))
+        np.testing.assert_array_equal(g, gram(np.ascontiguousarray(x)))
+
+    def test_scaling_exact_power_of_two_large(self):
+        x = correlated(np.random.default_rng(24), 16, 4096)
+        for a in (0.5, 2.0, 8.0):
+            np.testing.assert_array_equal(gram(np.float32(a) * x), a * a * gram(x))
+
+
+class TestEmptyFeatures:
+    @pytest.mark.parametrize("shape", [(3, 0), (3, 0, 2, 2), (0, 5)])
+    @pytest.mark.parametrize("fn", [gram, lambda x: sdkt_loss(x, [(np.ones((3, 4)), 1.0)]),
+                                    lambda x: sdkt_grad(x, [(np.ones((3, 4)), 1.0)])],
+                             ids=["gram", "sdkt_loss", "sdkt_grad"])
+    def test_rejected_naming_shape(self, fn, shape):
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            fn(np.zeros(shape, dtype=np.float32))
 
 
 class TestLoss:
@@ -167,6 +256,19 @@ class TestTeachers:
         teachers.append((np.zeros((3, 8), dtype=np.float32), 1.0))
         with pytest.raises(ShapeError, match="teacher 2 has 3 channels"):
             fn(x, teachers)
+
+
+class TestTeacherWeights:
+    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
+    def test_rejected_naming_teacher(self, fn, weight):
+        x = np.random.default_rng(12).standard_normal((3, 10))
+        with pytest.raises(DomainError, match="teacher 1 has weight"):
+            fn(x, [(x, 1.0), (2 * x, weight)])
+
+    def test_zero_weight_allowed(self):
+        x = np.random.default_rng(12).standard_normal((3, 10))
+        assert sdkt_loss(x, [(2 * x, 0.0)]) == 0.0
 
 
 class TestMmd:
