@@ -48,6 +48,8 @@ class MadInput:
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         object.__setattr__(self, "grid", tuple(int(g) for g in self.grid))
+        if len(self.grid) != 3 or min(self.grid) < 1:
+            raise ShapeError(f"grid must be three extents >= 1, got {self.grid}")
         l = self.grid[0] * self.grid[1] * self.grid[2]
         if self.weights.shape != (l, l):
             raise ShapeError(f"weights shape {self.weights.shape} != ({l}, {l}) for grid {self.grid}")
@@ -71,19 +73,12 @@ def mad(inp: MadInput) -> float:
         raise DomainError(f"attention row {worst} sums to {row_sums[worst]:.6f}, not 1")
     if not (w.min() >= -1e-9):
         raise DomainError(f"attention weights must be non-negative, min is {w.min():.3e}")
-    d, h, ww = inp.grid
-    idx = np.arange(l)
-    z = idx // (h * ww)
-    y = (idx % (h * ww)) // ww
-    x = idx % ww
-    # Squared distance summed one axis at a time into one L x L buffer; the
-    # coordinates are integers, so every partial sum is exact.
-    dist = np.zeros((l, l))
-    delta = np.empty((l, l))
-    for c in (x, y, z):
-        np.subtract.outer(c, c, out=delta)
-        delta *= delta
-        dist += delta
+    # Squared distance as one broadcast sum of per-axis tables of squared
+    # offsets over the [D, H, W, D, H, W] view of the L x L matrix; the offsets
+    # are integers, so the sum is exact in any order.
+    offsets = (np.arange(n, dtype=np.float64) for n in inp.grid)
+    dz, dy, dx = (np.subtract.outer(a, a) ** 2 for a in offsets)
+    dist = (dz[:, None, None, :, None, None] + dy[:, None, None, :, None] + dx[:, None, None, :]).reshape(l, l)
     np.sqrt(dist, out=dist)
     dist *= inp.spacing
     dist *= w
@@ -120,9 +115,7 @@ class BenchReport:
     stage_flop_shares: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = dict(self.__dict__)
-        payload["extent"] = list(self.extent)
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
 def config_digest(cfg) -> str:
@@ -132,7 +125,7 @@ def config_digest(cfg) -> str:
     return hashlib.sha256(json.dumps(asdict(cfg), sort_keys=True, default=list).encode()).hexdigest()[:16]
 
 
-def bench(cfg, extent=None, threads: int = 1, iters: int = 10, warmup: int = 1, seed: int = 0) -> BenchReport:
+def bench(cfg, threads: int = 1, iters: int = 10, warmup: int = 1, seed: int = 0) -> BenchReport:
     """Measure forward throughput of the network built from ``cfg``.
 
     Runs ``warmup`` discarded forwards, then ``iters`` measured ones on
@@ -145,10 +138,6 @@ def bench(cfg, extent=None, threads: int = 1, iters: int = 10, warmup: int = 1, 
         raise DomainError("need at least one warmup and one measured iteration")
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
-    if extent is not None and tuple(extent) != tuple(cfg.input_extent):
-        from dataclasses import replace
-
-        cfg = replace(cfg, input_extent=tuple(int(e) for e in extent))
     net = build(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
     d, h, w = cfg.input_extent
@@ -157,23 +146,17 @@ def bench(cfg, extent=None, threads: int = 1, iters: int = 10, warmup: int = 1, 
     for _ in range(warmup):
         forward(net, volumes)
 
-    times: list[float] = []
-
     def one_iteration(_):
         t0 = time.perf_counter()
         forward(net, volumes)
         return time.perf_counter() - t0
 
     start = time.perf_counter()
-    if threads <= 1:
-        for i in range(iters):
-            times.append(one_iteration(i))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            times = list(pool.map(one_iteration, range(iters)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        times = list(pool.map(one_iteration, range(iters)))
     total = time.perf_counter() - start
 
-    breakdown = flop_breakdown(net, cfg.input_extent)
+    breakdown = flop_breakdown(net)
     total_cost = sum(breakdown.values())
     shares = {k: v / total_cost for k, v in breakdown.items()}
     return BenchReport(

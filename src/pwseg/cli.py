@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, DomainError, PwsegError
 
@@ -165,9 +166,10 @@ def _cmd_bench(args) -> int:
     from .analysis import bench
 
     cfg = _load_config(args.config)
+    if args.extent is not None:
+        cfg = replace(cfg, input_extent=args.extent)
     report = bench(
         cfg,
-        extent=args.extent,
         threads=args.threads,
         iters=args.iters,
         warmup=args.warmup,

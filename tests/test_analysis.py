@@ -1,5 +1,9 @@
 """Mean-attention-distance, Dice, and benchmark harness tests."""
 
+import math
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,19 +65,41 @@ class TestMad:
             np.testing.assert_allclose(mad(inp), brute_force_mad(w, grid, 1.25), rtol=1e-12)
 
     def test_bit_identical_to_delta_tensor_expression(self):
-        """The per-axis accumulation equals the earlier L x L x 3 delta-tensor expression exactly."""
-        rng = np.random.default_rng(4)
-        grid = (6, 6, 6)
-        l = 216
-        w = rng.random((l, l))
-        w /= w.sum(axis=1, keepdims=True)
-        idx = np.arange(l)
-        coords = np.stack([idx % 6, (idx % 36) // 6, idx // 36], axis=1).astype(np.float64)
-        for spacing in (1.0, 0.7):
-            deltas = coords[:, None, :] - coords[None, :, :]
-            dist = spacing * np.sqrt((deltas * deltas).sum(axis=2))
-            want = float((w * dist).sum() / l)
-            assert mad(MadInput(w, grid, spacing=spacing)) == want
+        """The per-axis tables equal the earlier L x L x 3 delta-tensor expression exactly.
+
+        The anisotropic grids catch a per-axis table placed on the wrong axis.
+        """
+        for grid in [(6, 6, 6), (2, 3, 4), (3, 5, 7)]:
+            rng = np.random.default_rng(4)
+            d, h, ww = grid
+            l = d * h * ww
+            w = rng.random((l, l))
+            w /= w.sum(axis=1, keepdims=True)
+            idx = np.arange(l)
+            coords = np.stack([idx % ww, (idx % (h * ww)) // ww, idx // (h * ww)], axis=1).astype(np.float64)
+            for spacing in (1.0, 0.7):
+                deltas = coords[:, None, :] - coords[None, :, :]
+                dist = spacing * np.sqrt((deltas * deltas).sum(axis=2))
+                want = float((w * dist).sum() / l)
+                assert mad(MadInput(w, grid, spacing=spacing)) == want
+
+    def test_one_distance_buffer(self):
+        """On a 12^3 grid mad allocates at most one L x L float64 buffer (plus slack)."""
+        l = 12**3
+        inp = MadInput(np.full((l, l), 1.0 / l), (12, 12, 12))
+        tracemalloc.start()
+        try:
+            mad(inp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * l * l * 8
+
+    @pytest.mark.parametrize("grid", [(-1, -2, 2), (1, -4, -1), (0, 2, 2), (2, 0, 0), (2, 2), (2, 2, 1, 1)])
+    def test_grid_not_three_extents_of_at_least_one_rejected(self, grid):
+        l = abs(math.prod(grid))
+        with pytest.raises(ShapeError, match=re.escape(str(grid))):
+            MadInput(np.full((l, l), 1.0 / max(l, 1)), grid)
 
     def test_bounded_by_diameter(self):
         rng = np.random.default_rng(1)

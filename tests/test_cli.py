@@ -204,6 +204,15 @@ class TestErrorExit:
         assert code == 2 and len(lines) == 1
         assert lines[0].startswith("error:") and message in lines[0]
 
+    @pytest.mark.parametrize("grid", ["-1x-2x2", "1x-4x-1"])
+    def test_mad_grid_below_one(self, tmp_path, grid):
+        """A 4 x 4 matrix of 0.25s fits |D*H*W| = 4, but no extent may be below 1."""
+        volume_io.write(tmp_path / "w.vxs", np.full((1, 1, 1, 4, 4), 0.25, dtype=np.float32))
+        code, err = run_cli_process("mad", "--weights", str(tmp_path / "w.vxs"), f"--grid={grid}")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "grid" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_plan_groups_non_finite_alpha(self, capsys, alpha):
         code, lines = run_cli_error(capsys, "plan-groups", "--modalities", "2", "--alpha", alpha)

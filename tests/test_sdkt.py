@@ -257,6 +257,12 @@ class TestTeachers:
         with pytest.raises(ShapeError, match="teacher 2 has 3 channels"):
             fn(x, teachers)
 
+    @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
+    def test_scalar_teacher_rejected(self, fn):
+        """A 0-d teacher fails the rank check before its channels are read."""
+        with pytest.raises(ShapeError, match="rank 0"):
+            fn(np.ones((3, 4)), [(np.float32(1.0), 1.0)])
+
 
 class TestTeacherWeights:
     @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
