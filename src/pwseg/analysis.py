@@ -46,7 +46,7 @@ class MadInput:
     spacing: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
+        object.__setattr__(self, "weights", np.ascontiguousarray(self.weights, dtype=np.float64))
         object.__setattr__(self, "grid", tuple(int(g) for g in self.grid))
         if len(self.grid) != 3 or min(self.grid) < 1:
             raise ShapeError(f"grid must be three extents >= 1, got {self.grid}")
@@ -55,6 +55,10 @@ class MadInput:
             raise ShapeError(f"weights shape {self.weights.shape} != ({l}, {l}) for grid {self.grid}")
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise DomainError(f"voxel spacing must be positive and finite, got {self.spacing}")
+
+
+# Entries of W per leaf of mad's sum; a leaf's rows of distances stay in L2.
+MAD_LEAF = 65536
 
 
 def mad(inp: MadInput) -> float:
@@ -73,16 +77,24 @@ def mad(inp: MadInput) -> float:
         raise DomainError(f"attention row {worst} sums to {row_sums[worst]:.6f}, not 1")
     if not (w.min() >= -1e-9):
         raise DomainError(f"attention weights must be non-negative, min is {w.min():.3e}")
-    # Squared distance as one broadcast sum of per-axis tables of squared
-    # offsets over the [D, H, W, D, H, W] view of the L x L matrix; the offsets
-    # are integers, so the sum is exact in any order.
-    offsets = (np.arange(n, dtype=np.float64) for n in inp.grid)
-    dz, dy, dx = (np.subtract.outer(a, a) ** 2 for a in offsets)
-    dist = (dz[:, None, None, :, None, None] + dy[:, None, None, :, None] + dx[:, None, None, :]).reshape(l, l)
-    np.sqrt(dist, out=dist)
-    dist *= inp.spacing
-    dist *= w
-    return float(dist.sum() / l)
+    # Squared offsets along z and across the (y, x) plane: integers, so their sums are exact.
+    dz, dy, dx = (np.subtract.outer(a, a) ** 2 for a in (np.arange(n, dtype=np.float64) for n in inp.grid))
+    hw = dy.shape[0] * dx.shape[0]
+    plane = (dy[:, None, :, None] + dx[None, :, None, :]).reshape(hw, hw)
+
+    def weighted_sum(lo: int, n: int):
+        """np.sum of W * distance over flat entries [lo, lo + n), halved as np.sum halves an
+        array (first half rounded down to a multiple of 8) into leaves of <= MAD_LEAF."""
+        if n > MAD_LEAF:
+            half = n // 2 - n // 2 % 8
+            return weighted_sum(lo, half) + weighted_sum(lo + half, n - half)
+        z, yx = np.divmod(np.arange(lo // l, (lo + n - 1) // l + 1), hw)
+        seg = np.sqrt((dz[z][:, :, None] + plane[yx][:, None, :]).reshape(-1)[lo % l :][:n])
+        seg *= inp.spacing
+        seg *= w.reshape(-1)[lo : lo + n]
+        return seg.sum()
+
+    return float(weighted_sum(0, l * l) / l)
 
 
 def dice(pred: np.ndarray, gt: np.ndarray) -> float:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pwseg.analysis import BenchReport, MadInput, bench, dice, index_to_coords, mad
+from pwseg.analysis import MAD_LEAF, BenchReport, MadInput, bench, dice, index_to_coords, mad
 from pwseg.errors import DomainError, ShapeError
 from pwseg.network import NetworkConfig, conv_only
 
@@ -83,8 +83,27 @@ class TestMad:
                 want = float((w * dist).sum() / l)
                 assert mad(MadInput(w, grid, spacing=spacing)) == want
 
-    def test_one_distance_buffer(self):
-        """On a 12^3 grid mad allocates at most one L x L float64 buffer (plus slack)."""
+    @pytest.mark.parametrize("grid", [(7, 7, 7), (1, 1, 301), (5, 13, 11), (3, 17, 6)])
+    def test_leaves_match_one_matrix_sum(self, grid):
+        """Summed leaf by leaf, mad equals the sum over the whole W * distance matrix bit for bit.
+
+        On these grids L^2 spans several leaves and the splits fall inside rows.
+        """
+        d, h, ww = grid
+        l = d * h * ww
+        assert l * l > MAD_LEAF
+        rng = np.random.default_rng(5)
+        w = rng.random((l, l)) ** 4
+        w /= w.sum(axis=1, keepdims=True)
+        idx = np.arange(l)
+        coords = np.stack([idx % ww, (idx % (h * ww)) // ww, idx // (h * ww)], axis=1).astype(np.float64)
+        sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+        for spacing in (1.0, 0.7):
+            want = float((np.sqrt(sq) * spacing * w).sum() / l)
+            assert mad(MadInput(w, grid, spacing=spacing)) == want
+
+    def test_no_distance_matrix(self):
+        """On a 12^3 grid mad's peak allocation is a few leaves, not an L x L buffer."""
         l = 12**3
         inp = MadInput(np.full((l, l), 1.0 / l), (12, 12, 12))
         tracemalloc.start()
@@ -93,7 +112,7 @@ class TestMad:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * l * l * 8
+        assert peak < 4 * MAD_LEAF * 8
 
     @pytest.mark.parametrize("grid", [(-1, -2, 2), (1, -4, -1), (0, 2, 2), (2, 0, 0), (2, 2), (2, 2, 1, 1)])
     def test_grid_not_three_extents_of_at_least_one_rejected(self, grid):
