@@ -190,13 +190,30 @@ def validate_config(cfg: NetworkConfig) -> None:
             raise ConfigError(f"stage {k + 1}: cannot build window schedule: {exc}") from exc
 
 
+# Bytes of patch columns that ``downsample_conv`` builds at a time: 2 MiB,
+# the per-core L2 size of the x86 server cores it was tuned on, so a slab's
+# columns are still cached when its matmul reads them.  At the default
+# widths every stage downsample of an input up to 128^3 fits in one slab;
+# only the stem's calls are split.  Do not shrink it: OpenBLAS rounds
+# products over narrow column blocks (seen at 24, 36 and 100 columns)
+# differently from the whole product.
+_SLAB_BYTES = 2 * 1024 * 1024
+
+
 def downsample_conv(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Non-overlapping patchify conv: an ungrouped ConvParams with kernel == stride."""
+    """Non-overlapping patchify conv: an ungrouped ConvParams with kernel == stride.
+
+    Builds its patch columns one slab of whole output z-planes at a time,
+    as many planes as fit in ``_SLAB_BYTES`` and at least one, and
+    multiplies each slab into the output's z-slice.
+    """
     if p.groups != 1 or p.kernel != p.stride:
         raise ConfigError(
             f"downsample needs an ungrouped conv with kernel == stride, got groups {p.groups}, "
             f"kernel {p.kernel}, stride {p.stride}"
         )
+    if x.ndim != 4:
+        raise ShapeError(f"downsample input must be rank 4 [C, D, H, W], got rank {x.ndim}")
     c_in, d, h, w = x.shape
     s = p.stride
     if c_in != p.c_in:
@@ -204,14 +221,24 @@ def downsample_conv(x: np.ndarray, p: ConvParams) -> np.ndarray:
     for axis, e in zip(SPATIAL_AXES, (d, h, w)):
         if e % s != 0:
             raise ShapeError(f"{axis} extent {e} not divisible by stride {s}")
-    # Patch columns [C_in*s^3, P]: the product with the [C_out, C_in*s^3]
-    # weight lands directly in the [C_out, P] output layout.
-    x7 = x.reshape(c_in, d // s, s, h // s, s, w // s, s)
-    cols = np.ascontiguousarray(x7.transpose(0, 2, 4, 6, 1, 3, 5)).reshape(c_in * s**3, -1)
-    out = p.weight.reshape(p.c_out, -1) @ cols
-    if p.bias is not None:
-        out += p.bias[:, None]
-    return out.reshape(p.c_out, d // s, h // s, w // s)
+    nd, nh, nw = d // s, h // s, w // s
+    weight = p.weight.reshape(p.c_out, -1)
+    k = weight.shape[1]
+    out = np.empty((p.c_out, nd, nh * nw), dtype=np.result_type(weight, x))
+    planes = min(nd, max(1, _SLAB_BYTES // (k * nh * nw * x.itemsize)))
+    buf = np.empty(k * planes * nh * nw, dtype=x.dtype)
+    x7 = x.reshape(c_in, nd, s, nh, s, nw, s)
+    for z0 in range(0, nd, planes):
+        z1 = min(z0 + planes, nd)
+        # Patch columns [C_in*s^3, P]: the product with the [C_out, C_in*s^3]
+        # weight lands directly in the [C_out, P] layout of the output's z-slice.
+        cols = buf[: k * (z1 - z0) * nh * nw].reshape(c_in, s, s, s, z1 - z0, nh, nw)
+        np.copyto(cols, x7[:, z0:z1].transpose(0, 2, 4, 6, 1, 3, 5))
+        dst = out[:, z0:z1].reshape(p.c_out, -1)
+        np.matmul(weight, cols.reshape(k, -1), out=dst)
+        if p.bias is not None:
+            dst += p.bias[:, None]
+    return out.reshape(p.c_out, nd, nh, nw)
 
 
 @dataclass(frozen=True)
@@ -371,14 +398,7 @@ def forward(net: Network, volumes) -> np.ndarray:
             )
         vols.append(require_finite(v, f"modality {m} volume"))
 
-    full = np.concatenate(vols, axis=0)
-    mixed = gelu(pointwise_conv(full, net.modal_mixer))
-    jx = downsample_conv(mixed, net.jlc_embed)
-    if cfg.early_fusion:
-        px = [downsample_conv(mixed, net.pwa_embed)]
-    else:
-        px = [downsample_conv(v, net.pwa_embed) for v in vols]
-
+    jx, px = _stem_forward(net, vols)
     skips = []
     for stage in net.stages:
         for blk in stage.jlc_blocks:
@@ -401,6 +421,21 @@ def forward(net: Network, volumes) -> np.ndarray:
             x = jlc_forward(x, blk)
 
     return _head_forward(net, x)
+
+
+def _stem_forward(net: Network, vols: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Modal mixer, GELU and patch embeds: the conv stream input and the attention stream inputs.
+
+    The concatenated volumes and the full-resolution mixed tensor live only
+    here, so they are freed before stage 1 runs.  GELU overwrites the
+    mixer's output, which no one else holds.
+    """
+    mixed = pointwise_conv(np.concatenate(vols, axis=0), net.modal_mixer)
+    gelu(mixed, out=mixed)
+    jx = downsample_conv(mixed, net.jlc_embed)
+    if net.config.early_fusion:
+        return jx, [downsample_conv(mixed, net.pwa_embed)]
+    return jx, [downsample_conv(v, net.pwa_embed) for v in vols]
 
 
 def _head_forward(net: Network, x: np.ndarray) -> np.ndarray:

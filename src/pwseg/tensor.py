@@ -8,9 +8,10 @@ so width is the fastest-varying axis.  M modalities travel as a list of M
 such tensors; the rank-5 [modality, channel, D, H, W] array is only the
 ``.vxs`` file layout (:mod:`pwseg.volume_io`).  Every operation here
 except :func:`softmax_rows` is a pure function of its inputs; outputs are
-freshly allocated arrays, never views into mutable state.  ``softmax_rows``
-overwrites its argument with the result and returns it, so attention keeps
-one logits buffer per chunk.
+freshly allocated arrays, never views into mutable state, unless
+:func:`gelu` is given an ``out`` array, which it fills and returns.
+``softmax_rows`` overwrites its argument with the result and returns it, so
+attention keeps one logits buffer per chunk.
 """
 
 from __future__ import annotations
@@ -274,18 +275,27 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 GELU_BLOCK = 32768
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gaussian error linear unit (tanh approximation).
 
     Evaluates 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))) in blocks of
-    ``GELU_BLOCK`` elements, so no full-size temporary is made.  The output
-    is a new C-ordered array of the input's shape; floating inputs keep
-    their dtype, other inputs are promoted to float.
+    ``GELU_BLOCK`` elements, so no full-size temporary is made.  Floating
+    inputs keep their dtype, other inputs are promoted to float.  The result
+    goes to a new C-ordered array of the input's shape, or to ``out``: a
+    C-contiguous array of that shape and dtype, which may be ``x`` itself
+    (each block is read before it is written, so the bits are the same).
+    An ``out`` of another shape, dtype or layout, or one that overlaps
+    ``x`` without being ``x``, raises ShapeError before anything is written.
     """
     x = np.ascontiguousarray(x)
     if x.dtype.kind != "f":
         x = x.astype(np.result_type(x.dtype, DTYPE))
-    out = np.empty(x.shape, dtype=x.dtype)
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype)
+    elif out.shape != x.shape or out.dtype != x.dtype or not out.flags.c_contiguous:
+        raise ShapeError(f"gelu out must be a C-contiguous {x.dtype} array of shape {x.shape}")
+    elif np.may_share_memory(out, x) and out.ctypes.data != x.ctypes.data:
+        raise ShapeError("gelu out overlaps the input without being the input")
     flat_x = x.reshape(-1)
     flat_out = out.reshape(-1)
     scratch = np.empty(min(flat_x.size, GELU_BLOCK), dtype=x.dtype)
@@ -293,7 +303,8 @@ def gelu(x: np.ndarray) -> np.ndarray:
         xb = flat_x[start : start + GELU_BLOCK]
         ob = flat_out[start : start + GELU_BLOCK]
         t = scratch[: xb.size]
-        # the whole-array expression's operations, in its order and dtype
+        # the whole-array expression's operations, in its order and dtype;
+        # ob may be xb: the elementwise multiply into ob is xb's last read
         np.multiply(xb, 0.044715, out=t)
         t *= xb
         t *= xb

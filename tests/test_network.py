@@ -1,6 +1,7 @@
 """Network assembly tests: build, forward, counting, config plumbing."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from math import ceil
 
@@ -197,6 +198,33 @@ class TestForward:
         vols = [rng.standard_normal((1, 32, 32, 32), dtype=np.float32) for _ in range(4)]
         assert forward(net, vols).shape == (2, 32, 32, 32)
 
+    def test_peak_memory_below_stem_buffers(self):
+        """At its peak one forward holds the mixed tensor and the concatenated
+        volumes, and at most 4 MiB besides; the stem buffers are gone by then."""
+        cfg = NetworkConfig(modalities=4, input_extent=(64, 64, 64))
+        net = build(cfg, seed=0)
+        rng = np.random.default_rng(12)
+        vols = [rng.standard_normal((1, *cfg.input_extent), dtype=np.float32) for _ in range(cfg.modalities)]
+        voxel_bytes = 64**3 * np.dtype(np.float32).itemsize
+        bound = (cfg.stage_widths[0] + cfg.modalities) * voxel_bytes + 4 * 2**20
+        tracemalloc.start()
+        try:
+            forward(net, vols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / 2**20:.1f} MiB >= {bound / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("modalities", [1, 2])
+    def test_inputs_untouched(self, modalities):
+        net = build(replace(SMALL, modalities=modalities), seed=0)
+        rng = np.random.default_rng(13)
+        vols = [rng.standard_normal((1, 32, 32, 32), dtype=np.float32) for _ in range(modalities)]
+        before = [v.copy() for v in vols]
+        forward(net, vols)
+        for v, b in zip(vols, before):
+            np.testing.assert_array_equal(v, b)
+
     def test_non_finite_volume_rejected(self):
         net = build(SMALL, seed=0)
         vols = [np.zeros((1, 32, 32, 32), dtype=np.float32) for _ in range(2)]
@@ -215,6 +243,20 @@ def row_major_downsample(x, p):
     return np.ascontiguousarray(out.T).reshape(p.c_out, d // s, h // s, w // s)
 
 
+# The 32 x 16 x 24 shapes run as one product.  The stride-4 stem shapes at
+# 96 x 96 x 96 and 40 x 96 x 96, and 16 channels at 64^3, build their patch
+# columns in several slabs; at 40 x 96 x 96 with two channels the last slab
+# holds fewer planes than the others.
+DOWNSAMPLE_CASES = [(c_in, stride, (32, 16, 24)) for c_in in (1, 16, 32) for stride in (2, 4)] + [
+    (c_in, 4, extent) for c_in in (1, 2, 16) for extent in ((96, 96, 96), (64, 64, 64), (40, 96, 96))
+]
+
+DOWNSAMPLE_IDS = [
+    f"{c_in}-{stride}" + ("" if extent == (32, 16, 24) else "-" + "x".join(map(str, extent)))
+    for c_in, stride, extent in DOWNSAMPLE_CASES
+]
+
+
 def shuffle_then_head(net, x):
     """Expansion, shuffle to full resolution, then the head at full resolution."""
     x = voxel_shuffle(pointwise_conv(x, net.final_expand), net.config.patch_stride)
@@ -225,18 +267,17 @@ class TestFastPaths:
     """The column-major patchify and the head-before-shuffle order only move
     data or permute independent dot products, so they are bit-exact."""
 
-    @pytest.mark.parametrize("stride", [2, 4])
-    @pytest.mark.parametrize("c_in", [1, 16, 32])
-    def test_downsample_matches_row_major(self, stride, c_in):
+    @pytest.mark.parametrize("c_in, stride, extent", DOWNSAMPLE_CASES, ids=DOWNSAMPLE_IDS)
+    def test_downsample_matches_row_major(self, c_in, stride, extent):
         rng = np.random.default_rng(10 * stride + c_in)
         p = ConvParams(
             weight=rng.standard_normal((24, c_in, stride, stride, stride)).astype(np.float32),
             bias=rng.standard_normal(24).astype(np.float32),
             stride=stride,
         )
-        x = rng.standard_normal((c_in, 32, 16, 24)).astype(np.float32)
+        x = rng.standard_normal((c_in, *extent)).astype(np.float32)
         got = downsample_conv(x, p)
-        assert got.shape == (24, 32 // stride, 16 // stride, 24 // stride)
+        assert got.shape == (24, *(e // stride for e in extent))
         np.testing.assert_array_equal(got, row_major_downsample(x, p))
 
     @pytest.mark.parametrize(
@@ -271,6 +312,12 @@ class TestFastPaths:
     def test_downsample_rejects_non_patchify_conv(self, p):
         with pytest.raises(ConfigError, match="kernel == stride"):
             downsample_conv(np.zeros((4, 8, 8, 8), dtype=np.float32), p)
+
+    @pytest.mark.parametrize("shape", [(2, 8, 8), (1, 2, 8, 8, 8)], ids=["rank3", "rank5"])
+    def test_downsample_rejects_wrong_rank(self, shape):
+        p = ConvParams(weight=np.ones((4, 2, 2, 2, 2), dtype=np.float32), stride=2)
+        with pytest.raises(ShapeError, match=f"rank {len(shape)}"):
+            downsample_conv(np.zeros(shape, dtype=np.float32), p)
 
 
 class TestCounting:

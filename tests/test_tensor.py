@@ -478,6 +478,35 @@ class TestGeluBlocked:
             assert got.shape == view.shape and got.flags.c_contiguous
             np.testing.assert_allclose(got, gelu_closed_form(view), rtol=self.RTOL, atol=self.ATOL)
 
+    @pytest.mark.parametrize(
+        "size", [0, 1, GELU_BLOCK - 1, GELU_BLOCK, GELU_BLOCK + 1, 3 * GELU_BLOCK + 17]
+    )
+    def test_out_is_input_bit_exact(self, size):
+        x = (np.random.default_rng(size).standard_normal(size) * 4).astype(np.float32)
+        fresh = gelu(x)
+        got = gelu(x, out=x)
+        assert got is x
+        np.testing.assert_array_equal(got, fresh)
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda buf: np.zeros(buf.size, dtype=np.float32),
+            lambda buf: np.zeros(buf.size - 1, dtype=np.float64),
+            lambda buf: np.zeros((buf.size - 1, 2), dtype=np.float32)[:, 0],
+            lambda buf: buf[1:],
+        ],
+        ids=["shape", "dtype", "strided", "overlaps_input"],
+    )
+    def test_bad_out_rejected_before_writing(self, make_out):
+        buf = np.linspace(-6, 6, GELU_BLOCK + 6, dtype=np.float32)
+        x, out = buf[:-1], make_out(buf)
+        before_x, before_out = x.copy(), out.copy()
+        with pytest.raises(ShapeError, match="gelu out"):
+            gelu(x, out=out)
+        np.testing.assert_array_equal(x, before_x)
+        np.testing.assert_array_equal(out, before_out)
+
     def test_input_untouched(self):
         x = np.linspace(-6, 6, GELU_BLOCK + 5, dtype=np.float32)
         before = x.copy()
