@@ -22,21 +22,6 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 
-def index_to_coords(i: int, grid) -> tuple[int, int, int]:
-    """Map a flattened voxel index to (x, y, z) with x (width) fastest.
-
-    ``grid`` is (D, H, W); z = i // (H*W), y = (i % (H*W)) // W, x = i % W.
-    """
-    d, h, w = (int(g) for g in grid)
-    l = d * h * w
-    if not 0 <= i < l:
-        raise IndexError(f"index {i} out of range for grid {tuple(grid)} with {l} voxels")
-    z = i // (h * w)
-    y = (i % (h * w)) // w
-    x = i % w
-    return (x, y, z)
-
-
 @dataclass(frozen=True)
 class MadInput:
     """A row-stochastic attention matrix over a voxel grid with physical spacing."""

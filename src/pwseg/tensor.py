@@ -1,4 +1,4 @@
-"""Dense-tensor substrate: layout, windowing, pooling, convolution, norms.
+"""Dense-tensor substrate: layout, pooling, convolution, norms.
 
 Feature tensors are plain float32 numpy arrays of rank 4,
 
@@ -184,36 +184,6 @@ def pointwise_conv(x: np.ndarray, p: ConvParams) -> np.ndarray:
     if p.kernel != 1:
         raise ConfigError(f"pointwise conv requires kernel 1, got {p.kernel}")
     return conv3d(x, p)
-
-
-def window_partition(x: np.ndarray, window) -> np.ndarray:
-    """Split [C, D, H, W] into non-overlapping [n_windows, C, bd, bh, bw] blocks.
-
-    Windows are ordered lexicographically with the depth block index slowest
-    and the width block index fastest; voxel values are only re-indexed.
-    """
-    if x.ndim != 4:
-        raise ShapeError(f"window_partition input must be rank 4, got rank {x.ndim}")
-    c, d, h, w = x.shape
-    bd, bh, bw = window
-    _check_divisible((d, h, w), window, "window")
-    x7 = x.reshape(c, d // bd, bd, h // bh, bh, w // bw, bw)
-    wins = x7.transpose(1, 3, 5, 0, 2, 4, 6)
-    return np.ascontiguousarray(wins).reshape(-1, c, bd, bh, bw)
-
-
-def window_merge(windows: np.ndarray, extent) -> np.ndarray:
-    """Inverse of :func:`window_partition` for the given full extent."""
-    if windows.ndim != 5:
-        raise ShapeError(f"window_merge input must be rank 5, got rank {windows.ndim}")
-    n, c, bd, bh, bw = windows.shape
-    d, h, w = extent
-    _check_divisible(extent, (bd, bh, bw), "window")
-    nd, nh, nw = d // bd, h // bh, w // bw
-    if n != nd * nh * nw:
-        raise ShapeError(f"{n} windows cannot tile extent {tuple(extent)} with window {(bd, bh, bw)}")
-    x7 = windows.reshape(nd, nh, nw, c, bd, bh, bw).transpose(3, 0, 4, 1, 5, 2, 6)
-    return np.ascontiguousarray(x7).reshape(c, d, h, w)
 
 
 def max_pool3(x: np.ndarray, pool) -> np.ndarray:

@@ -11,9 +11,9 @@ Files are little-endian and padding-free so they are byte-portable:
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -44,8 +44,9 @@ def write(path, t: np.ndarray) -> None:
     """Serialize a rank-5 tensor; read(write(t)) is bit-exact."""
     t = _as_tensor5(t)
     require_finite(t, "volume payload")
-    header = _HEADER.pack(MAGIC, VERSION, *t.shape)
-    Path(path).write_bytes(header + t.astype("<f4").tobytes())
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(MAGIC, VERSION, *t.shape))
+        f.write(t.astype("<f4", copy=False).data)  # no copy on a little-endian host
 
 
 def read(path) -> np.ndarray:
@@ -53,23 +54,26 @@ def read(path) -> np.ndarray:
 
     Raises NonFiniteError if the payload holds NaN or Inf.
     """
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise TruncatedFileError(f"{path}: file shorter than the {_HEADER.size}-byte header")
-    magic, version, m, c, d, h, w = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise UnsupportedVersionError(f"{path}: version {version} unsupported (expected {VERSION})")
-    count = m * c * d * h * w
-    expected = _HEADER.size + 4 * count
-    if len(blob) < expected:
-        raise TruncatedFileError(f"{path}: payload needs {expected} bytes, file has {len(blob)}")
-    if len(blob) > expected:
-        raise VolumeFormatError(f"{path}: {len(blob) - expected} trailing bytes after payload")
-    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size, count=count)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < _HEADER.size:
+            raise TruncatedFileError(f"{path}: file shorter than the {_HEADER.size}-byte header")
+        magic, version, m, c, d, h, w = _HEADER.unpack(f.read(_HEADER.size))
+        if magic != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise UnsupportedVersionError(f"{path}: version {version} unsupported (expected {VERSION})")
+        expected = _HEADER.size + 4 * m * c * d * h * w
+        if size < expected:
+            raise TruncatedFileError(f"{path}: payload needs {expected} bytes, file has {size}")
+        if size > expected:
+            raise VolumeFormatError(f"{path}: {size - expected} trailing bytes after payload")
+        data = np.empty((m, c, d, h, w), dtype="<f4")
+        got = f.readinto(data)
+    if got != data.nbytes:  # the file shrank after its size was read
+        raise TruncatedFileError(f"{path}: payload needs {data.nbytes} bytes, read {got}")
     require_finite(data, f"{path}: volume payload")
-    return np.ascontiguousarray(data.astype(DTYPE).reshape(m, c, d, h, w))
+    return data.astype(DTYPE, copy=False)
 
 
 @dataclass(frozen=True)

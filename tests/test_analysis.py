@@ -7,9 +7,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pwseg.analysis import MAD_LEAF, BenchReport, MadInput, bench, dice, index_to_coords, mad
+from pwseg.analysis import MAD_LEAF, BenchReport, MadInput, bench, dice, mad
 from pwseg.errors import DomainError, ShapeError
 from pwseg.network import NetworkConfig, conv_only
+
+
+def index_to_coords(i: int, grid) -> tuple[int, int, int]:
+    """Map a flattened voxel index to (x, y, z) with x (width) fastest.
+
+    ``grid`` is (D, H, W); z = i // (H*W), y = (i % (H*W)) // W, x = i % W.
+    """
+    d, h, w = (int(g) for g in grid)
+    l = d * h * w
+    if not 0 <= i < l:
+        raise IndexError(f"index {i} out of range for grid {tuple(grid)} with {l} voxels")
+    z = i // (h * w)
+    y = (i % (h * w)) // w
+    x = i % w
+    return (x, y, z)
 
 
 def brute_force_mad(weights, grid, spacing):
@@ -242,7 +257,11 @@ class TestBench:
         a = bench(cfg, threads=1, iters=5, warmup=1, seed=0)
         b = bench(cfg, threads=1, iters=5, warmup=1, seed=0)
         ratio = b.median_iteration_seconds / a.median_iteration_seconds
-        assert 1 / 1.2 <= ratio <= 1.2
+        lo, hi = 1 / 1.2, 1.2
+        assert lo <= ratio <= hi, (
+            f"ratio {ratio:.4f} outside [{lo:.4f}, {hi:.4f}]: median iteration "
+            f"{b.median_iteration_seconds:.4f} s (second run) / {a.median_iteration_seconds:.4f} s (first run)"
+        )
 
     def test_runtime_tracks_cost_model(self):
         """Runtime ratio between extents approximates the flop ratio.
@@ -256,4 +275,9 @@ class TestBench:
         big = bench(cfg_big, threads=1, iters=3, warmup=1, seed=0)
         runtime_ratio = big.median_iteration_seconds / small.median_iteration_seconds
         flop_ratio = big.flops_per_patch / small.flops_per_patch
-        assert flop_ratio * 0.7 <= runtime_ratio <= flop_ratio * 1.3
+        lo, hi = flop_ratio * 0.7, flop_ratio * 1.3
+        assert lo <= runtime_ratio <= hi, (
+            f"runtime ratio {runtime_ratio:.4f} outside [{lo:.4f}, {hi:.4f}] (flop ratio {flop_ratio:.4f}): "
+            f"median iteration {big.median_iteration_seconds:.4f} s (96^3) / "
+            f"{small.median_iteration_seconds:.4f} s (64^3)"
+        )

@@ -22,7 +22,9 @@ from pwseg.pwa import (
     scatter,
     window_schedule,
 )
-from pwseg.tensor import ConvParams, max_pool3, softmax_rows, window_merge, window_partition
+from pwseg.tensor import ConvParams, max_pool3, softmax_rows
+
+from test_tensor import window_merge, window_partition
 
 
 def random_params(rng, channels, sched, modalities, n_head=1, c_min=4, scale=0.5):

@@ -72,6 +72,23 @@ def lexsort_gram(x):
     return (g + g.T) * 0.5  # exact symmetry despite BLAS rounding
 
 
+def argsort_gram(x):
+    """Oracle: the float Gram as before the packed sort: argsort of the column
+    keys (lexsort when two distinct columns share a key), then fancy indexing."""
+    m = sdkt._as_matrix(x)
+    c, n = m.shape
+    keys = sdkt._column_keys(m)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    tied = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    bits = m.view(sdkt._SIGN_AND_MANTISSA[m.dtype][0])
+    if np.any(bits[:, order[tied]] != bits[:, order[tied + 1]]):
+        order = np.lexsort(m[::-1])
+    m = m[:, order]
+    g = (m @ m.T) / (c * n)
+    return (g + g.T) * 0.5
+
+
 def correlated(rng, c, n, dtype=np.float32):
     mix = rng.standard_normal((c, c)) / np.sqrt(c) + np.eye(c)
     return (mix @ rng.standard_normal((c, n))).astype(dtype)
@@ -138,6 +155,38 @@ class TestGramOrder:
         x = correlated(np.random.default_rng(24), 16, 4096)
         for a in (0.5, 2.0, 8.0):
             np.testing.assert_array_equal(gram(np.float32(a) * x), a * a * gram(x))
+
+
+class TestPackedOrder:
+    """The one-word sort of key top bits and column index against the argsort it replaced."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: correlated(rng, 16, 48**3),
+        lambda rng: correlated(rng, 16, 48**3, np.float64),
+        lambda rng: correlated(rng, 16, 512)[:, rng.integers(0, 512, size=2048)],
+        lambda rng: correlated(rng, 8, 3 * 1000)[:, ::3],
+        lambda rng: correlated(rng, 6, 10 * 12 * 14).reshape(6, 10, 12, 14)[:, ::2, 1:, ::-3],
+        lambda rng: power_of_two_integers(rng, (3, 4096)),
+        lambda rng: power_of_two_integers(rng, (3, 4096)).astype(np.float64),
+    ], ids=["f32_48cubed", "f64_48cubed", "duplicate_columns", "strided", "strided_4d",
+            "int_valued_f32", "int_valued_f64"])
+    def test_bit_equal_to_argsort_path(self, make):
+        x = make(np.random.default_rng(25))
+        np.testing.assert_array_equal(gram(x), argsort_gram(x))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 2**17 - 1, 2**17 + 1])
+    def test_every_index_once_in_key_order(self, n):
+        m = correlated(np.random.default_rng(n), 3, n)
+        order = sdkt._canonical_order(m)
+        np.testing.assert_array_equal(np.sort(order), np.arange(n))
+        high = sdkt._column_keys(m)[order] >> np.uint64(max(1, (n - 1).bit_length()))
+        assert np.all(high[1:] >= high[:-1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keys_differing_only_in_index_bits_fall_back_to_lexsort(self, monkeypatch, dtype):
+        x = correlated(np.random.default_rng(26), 16, 4096, dtype)
+        monkeypatch.setattr(sdkt, "_column_keys", lambda m: np.arange(m.shape[1], dtype=np.uint64))
+        np.testing.assert_array_equal(gram(x), lexsort_gram(x))
 
 
 class TestEmptyFeatures:

@@ -11,6 +11,7 @@ from pwseg.errors import ConfigError, NonFiniteError, ShapeError
 from pwseg.tensor import (
     GELU_BLOCK,
     ConvParams,
+    _check_divisible,
     conv3d,
     gelu,
     instance_norm,
@@ -21,8 +22,6 @@ from pwseg.tensor import (
     require_finite,
     softmax_rows,
     voxel_shuffle,
-    window_merge,
-    window_partition,
 )
 
 
@@ -88,6 +87,36 @@ def per_group_conv3d(x, p):
     if p.bias is not None:
         out += p.bias[:, None, None, None]
     return out
+
+
+def window_partition(x: np.ndarray, window) -> np.ndarray:
+    """Oracle: split [C, D, H, W] into non-overlapping [n_windows, C, bd, bh, bw] blocks.
+
+    Windows are ordered lexicographically with the depth block index slowest
+    and the width block index fastest; voxel values are only re-indexed.
+    """
+    if x.ndim != 4:
+        raise ShapeError(f"window_partition input must be rank 4, got rank {x.ndim}")
+    c, d, h, w = x.shape
+    bd, bh, bw = window
+    _check_divisible((d, h, w), window, "window")
+    x7 = x.reshape(c, d // bd, bd, h // bh, bh, w // bw, bw)
+    wins = x7.transpose(1, 3, 5, 0, 2, 4, 6)
+    return np.ascontiguousarray(wins).reshape(-1, c, bd, bh, bw)
+
+
+def window_merge(windows: np.ndarray, extent) -> np.ndarray:
+    """Inverse of :func:`window_partition` for the given full extent."""
+    if windows.ndim != 5:
+        raise ShapeError(f"window_merge input must be rank 5, got rank {windows.ndim}")
+    n, c, bd, bh, bw = windows.shape
+    d, h, w = extent
+    _check_divisible(extent, (bd, bh, bw), "window")
+    nd, nh, nw = d // bd, h // bh, w // bw
+    if n != nd * nh * nw:
+        raise ShapeError(f"{n} windows cannot tile extent {tuple(extent)} with window {(bd, bh, bw)}")
+    x7 = windows.reshape(nd, nh, nw, c, bd, bh, bw).transpose(3, 0, 4, 1, 5, 2, 6)
+    return np.ascontiguousarray(x7).reshape(c, d, h, w)
 
 
 class TestWindowPartition:
