@@ -26,9 +26,9 @@ def print_bound_tables() -> None:
     print()
     print("Rounded plans (base unit n):")
     for n in (1, 2, 4):
-        plan = plan_stages(2, MEDICAL3D_VOLUME_RATIOS, n=n)
+        plan = plan_stages(2, n=n)
         print(f"    n={n}: {plan.group_sizes}")
-    plan = plan_stages(3, NATURAL2D_VOLUME_RATIOS, n=1, profile="natural2d")
+    plan = plan_stages(3, n=1, profile="natural2d")
     print(f"    natural2d, n=1: {plan.group_sizes}")
     print()
 

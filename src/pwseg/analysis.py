@@ -107,6 +107,7 @@ class BenchReport:
     measure_iters: int
     patches_per_second: float
     median_iteration_seconds: float
+    iteration_seconds: list[float]
     total_seconds: float
     flops_per_patch: int
     stage_flop_shares: dict = field(default_factory=dict)
@@ -164,6 +165,7 @@ def bench(cfg, threads: int = 1, iters: int = 10, warmup: int = 1, seed: int = 0
         measure_iters=iters,
         patches_per_second=iters / total,
         median_iteration_seconds=statistics.median(times),
+        iteration_seconds=times,
         total_seconds=total,
         flops_per_patch=total_cost,
         stage_flop_shares=shares,

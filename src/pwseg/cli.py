@@ -66,24 +66,11 @@ def _load_config(path: str):
 
 
 def _cmd_plan_groups(args) -> int:
-    from .jl import MEDICAL3D_VOLUME_RATIOS, NATURAL2D_VOLUME_RATIOS, plan_stages
+    from .jl import plan_stages
 
-    ratios = MEDICAL3D_VOLUME_RATIOS if args.profile == "medical3d" else NATURAL2D_VOLUME_RATIOS
-    plan = plan_stages(args.modalities, ratios, n=args.n, alpha=args.alpha, profile=args.profile)
-    print(
-        json.dumps(
-            {
-                "profile": plan.profile,
-                "modalities": plan.modalities,
-                "alpha": plan.alpha,
-                "n": plan.n,
-                "stage_volume_ratios": list(plan.stage_volume_ratios),
-                "raw_bounds": [round(b, 4) for b in plan.raw_bounds],
-                "group_sizes": list(plan.group_sizes),
-            },
-            indent=2,
-        )
-    )
+    plan = plan_stages(args.modalities, n=args.n, alpha=args.alpha, profile=args.profile)
+    report = dict(plan.__dict__, raw_bounds=[round(b, 4) for b in plan.raw_bounds])
+    print(json.dumps(report, indent=2))
     return 0
 
 

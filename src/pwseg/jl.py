@@ -21,9 +21,10 @@ from .errors import ConfigError, DomainError
 MEDICAL3D_VOLUME_RATIOS = (4**3, 8**3, 16**3, 32**3)
 NATURAL2D_VOLUME_RATIOS = (1**2, 2**2, 4**2, 8**2)
 
-_PROFILE_UNITS = {
-    "medical3d": (1, 2, 2, 4),
-    "natural2d": (1, 2, 4, 4),
+# profile -> (stage volume ratios, group sizes in base units of n)
+_PROFILES = {
+    "medical3d": (MEDICAL3D_VOLUME_RATIOS, (1, 2, 2, 4)),
+    "natural2d": (NATURAL2D_VOLUME_RATIOS, (1, 2, 4, 4)),
 }
 
 
@@ -37,7 +38,7 @@ class GroupPlan:
     raw_bounds: tuple[float, ...]
     group_sizes: tuple[int, ...]
     n: int
-    profile: str = "medical3d"
+    profile: str
 
 
 def group_size_bound(modalities: int, volume_ratio: int, alpha: float) -> float:
@@ -54,27 +55,20 @@ def group_size_bound(modalities: int, volume_ratio: int, alpha: float) -> float:
     return alpha * math.log(modalities * volume_ratio)
 
 
-def plan_stages(
-    modalities: int,
-    volume_ratios=MEDICAL3D_VOLUME_RATIOS,
-    n: int = 4,
-    alpha: float = 1.0,
-    profile: str = "medical3d",
-) -> GroupPlan:
+def plan_stages(modalities: int, n: int = 4, alpha: float = 1.0, profile: str = "medical3d") -> GroupPlan:
     """Build the per-stage group plan for a 4-stage network.
 
-    Raw bounds are recorded for audit; the published sizes come from the
-    profile rounding rule in base units of ``n``.
+    The profile fixes the stage volume ratios, whose raw bounds are recorded
+    for audit, and the rounding rule that gives the published sizes in base
+    units of ``n``.
     """
     if n <= 0:
         raise DomainError(f"base unit n must be positive, got {n}")
-    if profile not in _PROFILE_UNITS:
-        raise ConfigError(f"unknown profile {profile!r}; expected one of {sorted(_PROFILE_UNITS)}")
-    ratios = tuple(int(v) for v in volume_ratios)
-    if len(ratios) != 4:
-        raise ConfigError(f"expected 4 stage volume ratios, got {len(ratios)}")
+    if profile not in _PROFILES:
+        raise ConfigError(f"unknown profile {profile!r}; expected one of {sorted(_PROFILES)}")
+    ratios, units = _PROFILES[profile]
     raw = tuple(group_size_bound(modalities, v, alpha) for v in ratios)
-    sizes = tuple(u * n for u in _PROFILE_UNITS[profile])
+    sizes = tuple(u * n for u in units)
     return GroupPlan(
         alpha=alpha,
         modalities=modalities,

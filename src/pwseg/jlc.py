@@ -54,7 +54,6 @@ class JlcBlockParams:
     """
 
     branches: tuple[ConvParams, ...]
-    group_size: int
     norm_scale: np.ndarray
     norm_shift: np.ndarray
     ffn_norm_scale: np.ndarray
@@ -68,7 +67,7 @@ class JlcBlockParams:
         for b, w in zip(self.branches, widths):
             if b.c_in != w:
                 raise ConfigError(f"branch must map its chunk to itself, got {b.c_in} -> {w} channels")
-            if w % self.group_size != 0 or (w // b.groups) != self.group_size:
+            if w // b.groups != self.group_size:
                 raise ConfigError(
                     f"branch width {w} with {b.groups} groups does not give group size {self.group_size}"
                 )
@@ -82,6 +81,11 @@ class JlcBlockParams:
     @property
     def chunk_widths(self) -> tuple[int, ...]:
         return tuple(b.c_out for b in self.branches)
+
+    @property
+    def group_size(self) -> int:
+        """Channels per group, the same in every branch: the first branch's width over its groups."""
+        return self.branches[0].c_out // self.branches[0].groups
 
 
 def jlc_forward(x: np.ndarray, p: JlcBlockParams) -> np.ndarray:
@@ -122,7 +126,6 @@ def build_jlc_block(
     ffn_project = init_conv(rng, channels, hidden)
     return JlcBlockParams(
         branches=branches,
-        group_size=group_size,
         norm_scale=norm_scale,
         norm_shift=norm_shift,
         ffn_norm_scale=ffn_norm_scale,

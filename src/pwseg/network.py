@@ -20,7 +20,7 @@ from math import prod
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .jlc import JlcBlockParams, build_jlc_block, jlc_forward
+from .jlc import DEFAULT_KERNELS, JlcBlockParams, branch_channel_split, build_jlc_block, jlc_forward
 from .pwa import (
     PwaParams,
     WindowSchedule,
@@ -55,7 +55,7 @@ class NetworkConfig:
     input_extent: tuple[int, int, int] = (96, 96, 96)
     stage_widths: tuple[int, ...] = (16, 32, 64, 128)
     group_sizes: tuple[int, ...] = (4, 8, 8, 16)
-    kernels: tuple[int, ...] = (1, 3, 5)
+    kernels: tuple[int, ...] = DEFAULT_KERNELS
     attention_depth: tuple[int, ...] = (1, 1, 1, 1)
     conv_depth: tuple[int, ...] = (2, 2, 2, 3)
     decoder_depth: int = 1
@@ -77,13 +77,13 @@ class NetworkConfig:
     def attention_modalities(self) -> int:
         return 1 if self.early_fusion else self.modalities
 
-    def stage_extents(self, extent=None) -> tuple[tuple[int, int, int], ...]:
-        extent = tuple(int(e) for e in (extent or self.input_extent))
+    def stage_extents(self) -> tuple[tuple[int, int, int], ...]:
+        extent = tuple(int(e) for e in self.input_extent)
         check_extent(extent, self.cumulative_strides[-1])
         return tuple(tuple(e // s for e in extent) for s in self.cumulative_strides)
 
-    def stage_schedule(self, stage: int, extent=None) -> WindowSchedule:
-        stage_extent = self.stage_extents(extent)[stage]
+    def stage_schedule(self, stage: int) -> WindowSchedule:
+        stage_extent = self.stage_extents()[stage]
         big1 = fit_big_window(stage_extent, self.big_window_minima[stage], self.r)
         return window_schedule(stage_extent, big1, self.small_window_minima[stage], self.r)
 
@@ -151,8 +151,6 @@ def validate_config(cfg: NetworkConfig) -> None:
         raise ConfigError(f"modalities must be >= 1, got {cfg.modalities}")
     if cfg.num_classes < 1:
         raise ConfigError(f"num_classes must be >= 1, got {cfg.num_classes}")
-    if cfg.r < 2:
-        raise ConfigError(f"window expansion rate must be >= 2, got {cfg.r}")
     if cfg.c_min < 1 or cfg.head_width < 1 or cfg.decoder_depth < 1:
         raise ConfigError("c_min, head_width and decoder_depth must all be >= 1")
     if cfg.patch_stride < 2:
@@ -164,16 +162,10 @@ def validate_config(cfg: NetworkConfig) -> None:
     if len(cfg.kernels) < 1 or any(k % 2 == 0 or k < 1 for k in cfg.kernels):
         raise ConfigError(f"kernels must be odd positive sizes, got {cfg.kernels}")
     for k in range(N_STAGES):
-        c, g = cfg.stage_widths[k], cfg.group_sizes[k]
-        if c < 1 or g < 1:
-            raise ConfigError(f"stage {k + 1}: width {c} and group size {g} must be positive")
-        if c % g != 0:
-            raise ConfigError(f"stage {k + 1}: group size {g} does not divide width {c}")
-        if c // g < len(cfg.kernels):
-            raise ConfigError(
-                f"stage {k + 1}: width {c} gives only {c // g} groups of {g}; "
-                f"need at least {len(cfg.kernels)} for the parallel branches"
-            )
+        try:
+            branch_channel_split(cfg.stage_widths[k], cfg.group_sizes[k], len(cfg.kernels))
+        except ConfigError as exc:
+            raise ConfigError(f"stage {k + 1}: {exc}") from exc
         if cfg.expansion_ratios[k] < 1 or cfg.n_head[k] < 1:
             raise ConfigError(f"stage {k + 1}: expansion ratio and head count must be >= 1")
         if cfg.attention_depth[k] < 0 or cfg.conv_depth[k] < 0:
@@ -485,8 +477,10 @@ def _walk(net: Network, extent=None):
     op per element for norms, activations and residual adds.
     """
     cfg = net.config
-    extent = tuple(int(e) for e in (extent or cfg.input_extent))
-    ext = cfg.stage_extents(extent)
+    if extent is not None:
+        cfg = replace(cfg, input_extent=tuple(extent))
+    extent = tuple(int(e) for e in cfg.input_extent)
+    ext = cfg.stage_extents()
     m_att = cfg.attention_modalities
 
     def conv(group, p, e):
@@ -502,7 +496,7 @@ def _walk(net: Network, extent=None):
         c, n = cfg.stage_widths[k], prod(e)
         for blk in stage.jlc_blocks:
             yield "encoder_conv", "jlc_forward", blk, (c, *e), _jlc_block_flops(n, blk)
-        sched = cfg.stage_schedule(k, extent)
+        sched = cfg.stage_schedule(k)
         for blk in stage.pwa_blocks:
             # attention core plus its pre-projection layer norm
             yield "attention", "pwa_forward", blk.attn, (c, *e), pwa_flops(e, sched, c, m_att) + m_att * n * c
@@ -542,11 +536,12 @@ def total_flops(net: Network, extent=None) -> int:
 
 def attention_stage_flops(cfg: NetworkConfig, extent=None) -> list[int]:
     """Closed-form attention cost per stage (one value per attention block)."""
-    extent = tuple(int(e) for e in (extent or cfg.input_extent))
-    stage_ext = cfg.stage_extents(extent)
+    if extent is not None:
+        cfg = replace(cfg, input_extent=tuple(extent))
+    stage_ext = cfg.stage_extents()
     costs = []
     for k in range(N_STAGES):
-        sched = cfg.stage_schedule(k, extent)
+        sched = cfg.stage_schedule(k)
         per_block = pwa_flops(stage_ext[k], sched, cfg.stage_widths[k], cfg.attention_modalities)
         costs.append(per_block * cfg.attention_depth[k])
     return costs

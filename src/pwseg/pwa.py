@@ -264,14 +264,14 @@ class PwaParams:
     norm_scale: np.ndarray
     norm_shift: np.ndarray
     n_head: int
-    c_hat: int
 
     def __post_init__(self):
+        per_head = len(self.pos_bias) * self.n_head
         for name, p in (("q", self.q_proj), ("k", self.k_proj), ("v", self.v_proj)):
-            if p.c_out != len(self.pos_bias) * self.n_head * self.c_hat:
+            if per_head < 1 or p.c_out != self.q_proj.c_out or p.c_out % per_head != 0:
                 raise ConfigError(
-                    f"{name} projection emits {p.c_out} channels; expected "
-                    f"n_win*n_head*c_hat = {len(self.pos_bias) * self.n_head * self.c_hat}"
+                    f"{name} projection emits {p.c_out} channels; expected the q projection's "
+                    f"{self.q_proj.c_out}, a multiple of n_win*n_head = {per_head}"
                 )
         for i, table in enumerate(self.pos_bias):
             if not np.all(np.isfinite(table)):
@@ -280,6 +280,11 @@ class PwaParams:
     @property
     def channels(self) -> int:
         return self.q_proj.c_in
+
+    @property
+    def c_hat(self) -> int:
+        """Channels per head and window pair: the projection width over n_win * n_head."""
+        return self.q_proj.c_out // (len(self.pos_bias) * self.n_head)
 
 
 def pwa_forward(
@@ -385,5 +390,4 @@ def build_pwa_params(
         norm_scale=np.ones(channels, dtype=DTYPE),
         norm_shift=np.zeros(channels, dtype=DTYPE),
         n_head=n_head,
-        c_hat=c_hat,
     )

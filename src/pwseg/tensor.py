@@ -222,21 +222,31 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _normalize(x, axis, scale, shift, eps):
-    mu = x.mean(axis=axis, keepdims=True)
-    var = x.var(axis=axis, keepdims=True)
-    xn = (x - mu) / np.sqrt(var + eps)
-    return (xn * scale[:, None, None, None] + shift[:, None, None, None]).astype(DTYPE)
+NORM_EPS = 1e-5
 
 
-def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def _normalize(x, axis, scale, shift):
+    """(x - mean) / sqrt(var + NORM_EPS) * scale + shift over ``axis``, as float32.
+
+    The variance is the mean square of the one deviation, as ``np.var`` computes
+    it, and the rest runs in place on the deviation, so the bits are the two-pass form's.
+    """
+    xc = x - x.mean(axis=axis, keepdims=True)
+    var = np.mean(xc * xc, axis=axis, keepdims=True)
+    xc /= np.sqrt(var + NORM_EPS)
+    xc *= scale[:, None, None, None]
+    xc += shift[:, None, None, None]
+    return xc.astype(DTYPE, copy=False)
+
+
+def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Normalize over the channel axis (axis 0) per voxel, then scale/shift."""
-    return _normalize(x, 0, scale, shift, eps)
+    return _normalize(x, 0, scale, shift)
 
 
-def instance_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def instance_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Normalize each channel over its spatial extent, then scale/shift."""
-    return _normalize(x, (1, 2, 3), scale, shift, eps)
+    return _normalize(x, (1, 2, 3), scale, shift)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -226,12 +227,18 @@ TINY = NetworkConfig(
 )
 
 
+def _seconds(report: BenchReport) -> str:
+    """A report's measured iteration times, for a timing test's failure message."""
+    return "[" + ", ".join(f"{t:.4f}" for t in report.iteration_seconds) + "] s"
+
+
 class TestBench:
     def test_report_contract(self):
         report = bench(TINY, threads=1, iters=2, warmup=1, seed=0)
         assert isinstance(report, BenchReport)
         assert report.patches_per_second > 0
-        assert report.measure_iters == 2
+        assert report.measure_iters == len(report.iteration_seconds) == 2
+        assert report.median_iteration_seconds == statistics.median(report.iteration_seconds)
         assert report.extent == (32, 32, 32)
         assert abs(sum(report.stage_flop_shares.values()) - 1.0) < 1e-9
         assert report.config_digest == bench(TINY, threads=1, iters=1, warmup=1).config_digest
@@ -260,7 +267,8 @@ class TestBench:
         lo, hi = 1 / 1.2, 1.2
         assert lo <= ratio <= hi, (
             f"ratio {ratio:.4f} outside [{lo:.4f}, {hi:.4f}]: median iteration "
-            f"{b.median_iteration_seconds:.4f} s (second run) / {a.median_iteration_seconds:.4f} s (first run)"
+            f"{b.median_iteration_seconds:.4f} s (second run) / {a.median_iteration_seconds:.4f} s (first run); "
+            f"iterations {_seconds(b)} (second run), {_seconds(a)} (first run)"
         )
 
     def test_runtime_tracks_cost_model(self):
@@ -279,5 +287,6 @@ class TestBench:
         assert lo <= runtime_ratio <= hi, (
             f"runtime ratio {runtime_ratio:.4f} outside [{lo:.4f}, {hi:.4f}] (flop ratio {flop_ratio:.4f}): "
             f"median iteration {big.median_iteration_seconds:.4f} s (96^3) / "
-            f"{small.median_iteration_seconds:.4f} s (64^3)"
+            f"{small.median_iteration_seconds:.4f} s (64^3); "
+            f"iterations {_seconds(big)} (96^3), {_seconds(small)} (64^3)"
         )

@@ -73,29 +73,35 @@ class TestGroupSizeBound:
 
 class TestPlanStages:
     def test_published_rows(self):
-        v = MEDICAL3D_VOLUME_RATIOS
-        assert plan_stages(2, v, n=4).group_sizes == (4, 8, 8, 16)
-        assert plan_stages(2, v, n=1).group_sizes == (1, 2, 2, 4)
-        assert plan_stages(2, v, n=2).group_sizes == (2, 4, 4, 8)
+        assert plan_stages(2, n=4).group_sizes == (4, 8, 8, 16)
+        assert plan_stages(2, n=1).group_sizes == (1, 2, 2, 4)
+        assert plan_stages(2, n=2).group_sizes == (2, 4, 4, 8)
 
     def test_raw_bounds_recorded_and_increasing(self):
-        plan = plan_stages(2, MEDICAL3D_VOLUME_RATIOS, n=4, alpha=1.3)
+        plan = plan_stages(2, n=4, alpha=1.3)
         assert len(plan.raw_bounds) == 4
         assert all(b2 > b1 for b1, b2 in zip(plan.raw_bounds, plan.raw_bounds[1:]))
         for bound, v in zip(plan.raw_bounds, plan.stage_volume_ratios):
             assert bound == pytest.approx(1.3 * math.log(2 * v))
 
     def test_natural_profile_shape(self):
-        plan = plan_stages(3, NATURAL2D_VOLUME_RATIOS, n=2, profile="natural2d")
+        plan = plan_stages(3, n=2, profile="natural2d")
         assert plan.group_sizes == (2, 4, 8, 8)
+
+    @pytest.mark.parametrize(
+        "profile, ratios", [("medical3d", MEDICAL3D_VOLUME_RATIOS), ("natural2d", NATURAL2D_VOLUME_RATIOS)]
+    )
+    def test_profile_fixes_ratios_and_bounds(self, profile, ratios):
+        plan = plan_stages(3, n=1, alpha=0.5, profile=profile)
+        assert plan.profile == profile
+        assert plan.stage_volume_ratios == ratios
+        assert plan.raw_bounds == tuple(group_size_bound(3, v, 0.5) for v in ratios)
 
     def test_errors(self):
         with pytest.raises(DomainError):
-            plan_stages(2, MEDICAL3D_VOLUME_RATIOS, n=0)
+            plan_stages(2, n=0)
         with pytest.raises(ConfigError):
-            plan_stages(2, (1, 2, 3), n=1)
-        with pytest.raises(ConfigError):
-            plan_stages(2, MEDICAL3D_VOLUME_RATIOS, n=1, profile="nope")
+            plan_stages(2, n=1, profile="nope")
 
 
 class TestHeadChannels:

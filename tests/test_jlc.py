@@ -1,5 +1,7 @@
 """Conv-block tests: chunked branches, identities, oracles, parameter counts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,6 @@ def zeroed(block: JlcBlockParams) -> JlcBlockParams:
 
     return JlcBlockParams(
         branches=tuple(z(b) for b in block.branches),
-        group_size=block.group_size,
         norm_scale=block.norm_scale,
         norm_shift=block.norm_shift,
         ffn_norm_scale=block.ffn_norm_scale,
@@ -51,6 +52,20 @@ class TestBranchSplit:
             branch_channel_split(8, 4)
         with pytest.raises(ConfigError):
             branch_channel_split(9, 2)
+
+
+class TestParams:
+    def test_group_size_from_branches(self):
+        assert build_jlc_block(np.random.default_rng(0), 16, 4, expansion=2).group_size == 4
+
+    def test_unequal_group_sizes_rejected(self):
+        """Branches of groups 4 and 2 give no single group size."""
+        block = build_jlc_block(np.random.default_rng(0), 16, 4, expansion=2)
+        second = block.branches[1]
+        regrouped = ConvParams(weight=np.zeros((4, 2, 3, 3, 3), dtype=np.float32), groups=2)
+        assert (second.c_out, second.groups) == (4, 1)
+        with pytest.raises(ConfigError, match="group size 4"):
+            replace(block, branches=(block.branches[0], regrouped, block.branches[2]))
 
 
 class TestForward:
@@ -100,7 +115,6 @@ class TestForward:
 
         block = JlcBlockParams(
             branches=tuple(rescale(b) for b in block.branches),
-            group_size=group_size,
             norm_scale=rng.uniform(0.5, 1.5, channels).astype(np.float32),
             norm_shift=rng.uniform(-0.2, 0.2, channels).astype(np.float32),
             ffn_norm_scale=rng.uniform(0.5, 1.5, channels).astype(np.float32),

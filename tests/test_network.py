@@ -118,6 +118,11 @@ class TestBuild:
         with pytest.raises(ConfigError, match="stage 1"):
             build(cfg, seed=0)
 
+    def test_rate_error_names_stage(self):
+        """The rate rule comes from ``window_schedule``, wrapped as a ConfigError."""
+        with pytest.raises(ConfigError, match="stage 1: .*expansion rate must be >= 2"):
+            build(replace(SMALL, r=1), seed=0)
+
     def test_bad_extent_rejected(self):
         with pytest.raises((ConfigError, ShapeError)):
             build(replace(SMALL, input_extent=(48, 48, 48)), seed=0)
@@ -454,6 +459,27 @@ class TestWalk:
         assert param_count(net) == params
         assert list(flop_breakdown(net).items()) == list(zip(FLOP_GROUPS, at_build))
         assert list(flop_breakdown(net, (64, 64, 64)).items()) == list(zip(FLOP_GROUPS, at_64))
+
+    @pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
+    def test_extent_argument_equals_build_at_extent(self, name):
+        """Costing a net at another extent equals costing the net built there."""
+        cfg = WALK_CONFIGS[name]
+        at_64 = replace(cfg, input_extent=(64, 64, 64))
+        assert flop_breakdown(build(cfg, seed=3), (64, 64, 64)) == flop_breakdown(build(at_64, seed=3))
+        assert attention_stage_flops(cfg, (64, 64, 64)) == attention_stage_flops(at_64)
+
+    def test_array_extent_equals_tuple(self):
+        net = build(WALK_BASE, seed=3)
+        extent = np.array([64, 64, 64])
+        assert flop_breakdown(net, extent) == flop_breakdown(net, (64, 64, 64))
+        assert attention_stage_flops(WALK_BASE, extent) == attention_stage_flops(WALK_BASE, (64, 64, 64))
+
+    def test_empty_extent_rejected(self):
+        """An empty extent is not the build extent."""
+        with pytest.raises(ShapeError, match="triple"):
+            flop_breakdown(build(WALK_BASE, seed=3), ())
+        with pytest.raises(ShapeError, match="triple"):
+            attention_stage_flops(WALK_BASE, ())
 
 
 # One payload of the wrong JSON kind per NetworkConfig field.

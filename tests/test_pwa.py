@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pwseg import pwa
-from pwseg.errors import ScheduleError, ShapeError
+from pwseg.errors import ConfigError, ScheduleError, ShapeError
 from pwseg.jl import head_channels
 from pwseg.pwa import (
     CostMeter,
@@ -578,3 +578,18 @@ class TestCostModel:
         params = build_pwa_params(np.random.default_rng(16), 16, sched, 1, n_head=1, c_min=8)
         assert params.c_hat == head_channels(16, 8, sched.n_win, 1)
         assert params.q_proj.c_out == sched.n_win * params.c_hat
+
+    @pytest.mark.parametrize("name", ["k_proj", "v_proj"])
+    def test_unequal_projection_widths_rejected(self, name):
+        sched = window_schedule((24, 24, 24), (3, 3, 3))
+        params = build_pwa_params(np.random.default_rng(16), 16, sched, 1, n_head=1, c_min=8)
+        wider = ConvParams(weight=np.zeros((params.q_proj.c_out * 2, 16, 1, 1, 1), dtype=np.float32))
+        with pytest.raises(ConfigError, match=f"{name[0]} projection emits"):
+            replace(params, **{name: wider})
+
+    @pytest.mark.parametrize("change", [{"n_head": 0}, {"pos_bias": ()}], ids=["no_head", "no_pair"])
+    def test_empty_head_grid_rejected(self, change):
+        sched = window_schedule((24, 24, 24), (3, 3, 3))
+        params = build_pwa_params(np.random.default_rng(16), 16, sched, 1, n_head=1, c_min=8)
+        with pytest.raises(ConfigError, match=r"n_win\*n_head = 0"):
+            replace(params, **change)

@@ -22,6 +22,9 @@ def test_reproduce_tables():
     done = run_script("reproduce_tables.py")
     assert done.returncode == 0, done.stderr
     assert "Window schedules" in done.stdout and "Traceback" not in done.stderr
+    lines = [line.strip() for line in done.stdout.splitlines()]
+    plan_rows = ("n=1: (1, 2, 2, 4)", "n=2: (2, 4, 4, 8)", "n=4: (4, 8, 8, 16)", "natural2d, n=1: (1, 2, 4, 4)")
+    assert all(row in lines for row in plan_rows), done.stdout
 
 
 def test_run_bench():

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from pwseg.errors import ConfigError, NonFiniteError, ShapeError
 from pwseg.tensor import (
+    DTYPE,
     GELU_BLOCK,
+    NORM_EPS,
     ConvParams,
     _check_divisible,
+    _normalize,
     conv3d,
     gelu,
     instance_norm,
@@ -428,7 +431,31 @@ class TestSoftmaxInPlace:
         assert softmax_rows(m) is m
 
 
+def two_pass_normalize(x, axis, scale, shift):
+    """The norm as mean, then ``np.var``, then one expression: the reference for ``_normalize``."""
+    mu = x.mean(axis=axis, keepdims=True)
+    var = x.var(axis=axis, keepdims=True)
+    xn = (x - mu) / np.sqrt(var + NORM_EPS)
+    return (xn * scale[:, None, None, None] + shift[:, None, None, None]).astype(DTYPE)
+
+
 class TestNormsAndShuffle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [0, (1, 2, 3)], ids=["layer", "instance"])
+    @pytest.mark.parametrize(
+        "shape", [(16, 24, 24, 24), (48, 24, 24, 24), (32, 12, 12, 12), (128, 3, 3, 3), (5, 7, 6, 9)]
+    )
+    def test_normalize_matches_two_pass(self, shape, axis, dtype):
+        """One deviation and its mean square give the two-pass norm's bits."""
+        rng = np.random.default_rng(sum(shape))
+        x = (rng.standard_normal(shape) * 3 + 1.5).astype(dtype)
+        scale = rng.uniform(0.5, 1.5, shape[0]).astype(np.float32)
+        shift = rng.uniform(-0.5, 0.5, shape[0]).astype(np.float32)
+        want = two_pass_normalize(x, axis, scale, shift)
+        got = _normalize(x, axis, scale, shift)
+        assert got.dtype == DTYPE
+        np.testing.assert_array_equal(got, want)
+
     def test_layer_norm_normalizes_channels(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((8, 3, 3, 3)).astype(np.float32) * 4 + 2
