@@ -16,12 +16,16 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
-# Unsigned view and sign-plus-mantissa mask of each float type the column key
-# covers; the exponent is masked out so x and 2^k x share a key.
-_SIGN_AND_MANTISSA = {
-    np.dtype(np.float32): (np.uint32, 0x807FFFFF),
-    np.dtype(np.float64): (np.uint64, 0x800FFFFFFFFFFFFF),
+# Per float type the Gram computes in: how many channels one 64-bit key word
+# holds, and the mask that keeps their sign and mantissa bits.  The exponents
+# are masked out so x and 2^k x share a key.
+_KEY_WORD = {
+    np.dtype(np.float32): (2, 0x807FFFFF807FFFFF),
+    np.dtype(np.float64): (1, 0x800FFFFFFFFFFFFF),
 }
+# Rows of the column-major copy masked and hashed per matmul, so each block's
+# masked words stay in cache (256 KiB at 16 float32 channels).
+_KEY_BLOCK = 4096
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:
@@ -34,36 +38,55 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1)
 
 
-def _row_multipliers(rows: int) -> np.ndarray:
-    """One fixed odd 64-bit constant per row: splitmix64 of the row index."""
-    z = np.arange(1, rows + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+def _column_major(m: np.ndarray) -> np.ndarray:
+    """Copy the C x N matrix ``m`` to t = [N, C'] in float32 or float64.
+
+    Other real dtypes are promoted as ``np.result_type(dtype, np.float32)``.
+    C' rounds C up to whole 64-bit words (even for float32), and the pad
+    column is zero, so ``t.view(np.uint64)`` holds each column's key words.
+    """
+    dtype = np.result_type(m.dtype, np.float32) if m.dtype.kind in "biuf" else m.dtype
+    if dtype not in _KEY_WORD:
+        raise DomainError(f"gram needs real features of at most 64 bits, got dtype {m.dtype}")
+    c, n = m.shape
+    per = _KEY_WORD[dtype][0]
+    t = np.empty((n, -(-c // per) * per), dtype=dtype)
+    t[:, :c] = m.T
+    t[:, c:] = 0
+    return t
+
+
+def _word_multipliers(words: int) -> np.ndarray:
+    """One fixed odd 64-bit constant per key word: splitmix64 of the word index."""
+    z = np.arange(1, words + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return (z ^ (z >> np.uint64(31))) | np.uint64(1)
 
 
-def _column_keys(m: np.ndarray) -> np.ndarray:
-    """Wrapping uint64 sum over rows of (sign and mantissa bits) * row constant."""
-    uint, mask = _SIGN_AND_MANTISSA[m.dtype]
-    keys = np.zeros(m.shape[1], dtype=np.uint64)
-    for row, k in zip(m.view(uint), _row_multipliers(m.shape[0])):
-        keys += (row & mask).astype(np.uint64) * k
+def _column_keys(t: np.ndarray) -> np.ndarray:
+    """One key per row of ``t``: wrapping uint64 sum of its masked words times the word constants."""
+    words = t.view(np.uint64)
+    mask = np.uint64(_KEY_WORD[t.dtype][1])
+    multipliers = _word_multipliers(words.shape[1])
+    keys = np.empty(words.shape[0], dtype=np.uint64)
+    for start in range(0, words.shape[0], _KEY_BLOCK):
+        stop = start + _KEY_BLOCK
+        np.matmul(words[start:stop] & mask, multipliers, out=keys[start:stop])
     return keys
 
 
-def _canonical_order(m: np.ndarray) -> np.ndarray:
-    """Column order that depends only on the multiset of columns of ``m``.
+def _canonical_order(t: np.ndarray) -> np.ndarray:
+    """Row order of ``t`` that depends only on the multiset of its rows.
 
-    Each column becomes one uint64 word: the top 64 - b bits of its key over
+    Each row becomes one uint64 word: the top 64 - b bits of its key over
     its index in the low b bits, so one in-place sort yields the order in the
-    low bits.  Equal high parts on columns that are not bit-identical (a key
+    low bits.  Equal high parts on rows that are not bit-identical (a key
     collision) fall back to lexsort.
     """
-    if m.dtype not in _SIGN_AND_MANTISSA:
-        return np.lexsort(m[::-1])
-    n = m.shape[1]
+    n = t.shape[0]
     index_mask = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
-    words = _column_keys(m)
+    words = _column_keys(t)
     words &= ~index_mask
     words |= np.arange(n, dtype=np.uint64)
     words.sort()
@@ -71,9 +94,9 @@ def _canonical_order(m: np.ndarray) -> np.ndarray:
     words &= ~index_mask
     tied = np.flatnonzero(words[1:] == words[:-1])
     if tied.size:
-        bits = m.view(_SIGN_AND_MANTISSA[m.dtype][0])
-        if np.any(bits[:, order[tied]] != bits[:, order[tied + 1]]):
-            return np.lexsort(m[::-1])  # two distinct columns share a key
+        bits = t.view(np.uint64)
+        if np.any(bits[order[tied]] != bits[order[tied + 1]]):
+            return np.lexsort(t.T[::-1])  # two distinct rows share a key
     return order
 
 
@@ -83,18 +106,21 @@ def gram(x: np.ndarray) -> np.ndarray:
     Voxel columns are sorted into a canonical order before the reduction so
     the result is bit-identical under any spatial permutation of the input
     (summation order would otherwise leak voxel order into the rounding).
-    For float32 and float64 the order comes from one 64-bit key per column,
-    a hash of its sign and mantissa bits with the exponent masked out, so x
-    and 2^k x sort alike and power-of-two scales stay exact; the key's top
-    bits and the column index share one word, so one sort gives the order.
-    Equal keys on bit-identical columns are harmless in any order; if two
-    distinct columns share the top bits of a key, or for any other dtype,
-    the columns are lexsorted instead.
+    The features are copied once into a column-major float32 or float64
+    matrix t = [volume, C'] (other real dtypes are promoted; C' pads C to
+    whole 64-bit words with a zero column).  Each voxel's key is one uint64
+    matmul of its words, sign and mantissa bits only, so x and 2^k x sort
+    alike and power-of-two scales stay exact; the key's top bits and the
+    voxel index share one word, so one sort gives the order.  Equal keys on
+    bit-identical voxels are harmless in any order; if two distinct voxels
+    share the top bits of a key, the voxels are lexsorted instead.  The
+    product gathers whole rows of t in that order.
     """
     m = _as_matrix(x)
     c, n = m.shape
-    m = np.take(m, _canonical_order(m), axis=1)
-    g = (m @ m.T) / (c * n)
+    t = _column_major(m)
+    s = np.take(t, _canonical_order(t), axis=0)[:, :c]
+    g = (s.T @ s) / (c * n)
     return (g + g.T) * 0.5  # exact symmetry despite BLAS rounding
 
 
@@ -136,7 +162,8 @@ def sdkt_grad(d_seg: np.ndarray, teachers) -> np.ndarray:
     acc = np.zeros_like(g_seg)
     for g_teacher, weight in _teacher_grams(m.shape[0], teachers):
         acc += weight * (g_seg - g_teacher)
-    grad = (4.0 / m.size) * (acc @ m)
+    grad = acc @ m
+    grad *= 4.0 / m.size
     return grad.reshape(x.shape)
 
 

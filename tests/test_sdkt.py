@@ -73,18 +73,50 @@ def lexsort_gram(x):
 
 
 def argsort_gram(x):
-    """Oracle: the float Gram as before the packed sort: argsort of the column
-    keys (lexsort when two distinct columns share a key), then fancy indexing."""
+    """Oracle: the Gram without the packed sort: argsort of the column keys
+    (lexsort when two distinct columns share a key), then fancy indexing."""
     m = sdkt._as_matrix(x)
     c, n = m.shape
-    keys = sdkt._column_keys(m)
+    t = sdkt._column_major(m)
+    keys = sdkt._column_keys(t)
     order = np.argsort(keys)
     sorted_keys = keys[order]
     tied = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
-    bits = m.view(sdkt._SIGN_AND_MANTISSA[m.dtype][0])
+    bits = t.view(np.uint64)
+    if np.any(bits[order[tied]] != bits[order[tied + 1]]):
+        order = np.lexsort(m[::-1])
+    s = t[order, :c]
+    g = (s.T @ s) / (c * n)
+    return (g + g.T) * 0.5
+
+
+# Unsigned view and sign-plus-mantissa mask per float type, for the row-wise keys.
+ROWWISE_SIGN_AND_MANTISSA = {
+    np.dtype(np.float32): (np.uint32, 0x807FFFFF),
+    np.dtype(np.float64): (np.uint64, 0x800FFFFFFFFFFFFF),
+}
+
+
+def rowwise_gram(x):
+    """Oracle: the float32/float64 Gram as before the column-major copy: keys
+    summed row by row over [C, N], a packed sort, then a column take."""
+    m = sdkt._as_matrix(x)
+    c, n = m.shape
+    uint, mask = ROWWISE_SIGN_AND_MANTISSA[m.dtype]
+    keys = np.zeros(n, dtype=np.uint64)
+    for row, k in zip(m.view(uint), sdkt._word_multipliers(c)):
+        keys += (row & mask).astype(np.uint64) * k
+    index_mask = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
+    keys &= ~index_mask
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()
+    order = (keys & index_mask).astype(np.intp)
+    keys &= ~index_mask
+    tied = np.flatnonzero(keys[1:] == keys[:-1])
+    bits = m.view(uint)
     if np.any(bits[:, order[tied]] != bits[:, order[tied + 1]]):
         order = np.lexsort(m[::-1])
-    m = m[:, order]
+    m = np.take(m, order, axis=1)
     g = (m @ m.T) / (c * n)
     return (g + g.T) * 0.5
 
@@ -122,15 +154,14 @@ class TestGramOrder:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_key_colliding_falls_back_to_lexsort(self, monkeypatch, dtype):
         x = correlated(np.random.default_rng(21), 16, 4096, dtype)
-        monkeypatch.setattr(sdkt, "_column_keys", lambda m: np.zeros(m.shape[1], dtype=np.uint64))
+        monkeypatch.setattr(sdkt, "_column_keys", lambda t: np.zeros(t.shape[0], dtype=np.uint64))
         np.testing.assert_array_equal(gram(x), lexsort_gram(x))
 
     @pytest.mark.parametrize("make", [
         lambda rng: power_of_two_integers(rng, (3, 4096)),
         lambda rng: power_of_two_integers(rng, (3, 4096)).astype(np.float64),
         lambda rng: rng.integers(-1000, 1000, size=(5, 300)),
-        lambda rng: rng.standard_normal((4, 500)).astype(np.float16),
-    ], ids=["int_valued_f32", "int_valued_f64", "int64", "float16"])
+    ], ids=["int_valued_f32", "int_valued_f64", "int64"])
     def test_bit_exact_with_lexsort(self, make):
         x = make(np.random.default_rng(22))
         np.testing.assert_array_equal(gram(x), lexsort_gram(x))
@@ -142,7 +173,14 @@ class TestGramOrder:
         lambda rng: correlated(rng, 1000, 8).T,
         lambda rng: correlated(rng, 6, 10 * 12 * 14).reshape(6, 10, 12, 14)[:, ::2, 1:, ::-3],
         lambda rng: power_of_two_integers(rng, (3, 4096)),
-    ], ids=["duplicate_columns", "signed_zeros", "strided", "transposed", "strided_4d", "key_collisions"])
+        lambda rng: correlated(rng, 5, 4096),
+        lambda rng: correlated(rng, 1, 4096),
+        lambda rng: correlated(rng, 1, 4096, np.float64),
+        lambda rng: correlated(rng, 4, 1),
+        lambda rng: correlated(rng, 4, 2),
+        lambda rng: rng.integers(-100, 100, size=(3, 700), dtype=np.int8),
+    ], ids=["duplicate_columns", "signed_zeros", "strided", "transposed", "strided_4d", "key_collisions",
+            "pad_column", "one_channel_f32", "one_channel_f64", "one_voxel", "two_voxels", "int8"])
     def test_permutation_bit_exact(self, make):
         rng = np.random.default_rng(23)
         x = make(rng)
@@ -176,17 +214,91 @@ class TestPackedOrder:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 2**17 - 1, 2**17 + 1])
     def test_every_index_once_in_key_order(self, n):
-        m = correlated(np.random.default_rng(n), 3, n)
-        order = sdkt._canonical_order(m)
+        t = sdkt._column_major(correlated(np.random.default_rng(n), 3, n))
+        order = sdkt._canonical_order(t)
         np.testing.assert_array_equal(np.sort(order), np.arange(n))
-        high = sdkt._column_keys(m)[order] >> np.uint64(max(1, (n - 1).bit_length()))
+        high = sdkt._column_keys(t)[order] >> np.uint64(max(1, (n - 1).bit_length()))
         assert np.all(high[1:] >= high[:-1])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_keys_differing_only_in_index_bits_fall_back_to_lexsort(self, monkeypatch, dtype):
         x = correlated(np.random.default_rng(26), 16, 4096, dtype)
-        monkeypatch.setattr(sdkt, "_column_keys", lambda m: np.arange(m.shape[1], dtype=np.uint64))
+        monkeypatch.setattr(sdkt, "_column_keys", lambda t: np.arange(t.shape[0], dtype=np.uint64))
         np.testing.assert_array_equal(gram(x), lexsort_gram(x))
+
+
+class TestColumnMajor:
+    """The Gram on the column-major copy against the row-wise keys and column take it replaced."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: correlated(rng, 16, 48**3),
+        lambda rng: correlated(rng, 16, 4096, np.float64),
+        lambda rng: correlated(rng, 16, 512)[:, rng.integers(0, 512, size=2048)],
+        lambda rng: correlated(rng, 8, 3 * 1000)[:, ::3],
+        lambda rng: correlated(rng, 1, 4096),
+        lambda rng: correlated(rng, 5, 4096),
+        lambda rng: correlated(rng, 15, 4096),
+    ], ids=["f32_48cubed", "f64", "duplicate_columns", "strided", "c1", "c5", "c15"])
+    def test_close_to_rowwise(self, make):
+        """Only the hash and so the summation order change: within 1e-6 of the largest entry."""
+        x = make(np.random.default_rng(27))
+        want = rowwise_gram(x)
+        got = gram(x)
+        assert got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("c", [1, 2, 5, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_copy_layout(self, c, dtype):
+        m = correlated(np.random.default_rng(c), c, 50, dtype)
+        t = sdkt._column_major(m)
+        per = 2 if dtype == np.float32 else 1
+        assert t.shape == (50, -(-c // per) * per) and t.dtype == dtype and t.flags.c_contiguous
+        np.testing.assert_array_equal(t[:, :c], m.T)
+        assert not np.any(t[:, c:])
+
+
+def float64_gram(x):
+    m = np.asarray(x, dtype=np.float64).reshape(np.shape(x)[0], -1)
+    return (m @ m.T) / m.size
+
+
+class TestDtypes:
+    """Every real dtype is promoted as np.result_type(dtype, np.float32) and takes the keyed path."""
+
+    @pytest.mark.parametrize("x, want", [
+        (np.full((2, 10), 100, np.int8), 5000.0),
+        (np.full((2, 10), 200, np.uint8), 20000.0),
+        (np.ones((2, 3, 2), bool), 0.5),
+        (np.full((2, 10), 300, np.float16), 45000.0),
+    ], ids=["int8", "uint8", "bool", "float16"])
+    def test_constant_inputs(self, x, want):
+        np.testing.assert_array_equal(gram(x), np.full((2, 2), want))
+
+    @pytest.mark.parametrize("make, dtype", [
+        (lambda rng: rng.integers(-128, 128, size=(5, 700)).astype(np.int8), np.float32),
+        (lambda rng: rng.integers(0, 256, size=(5, 700)).astype(np.uint8), np.float32),
+        (lambda rng: rng.random((5, 700)) < 0.5, np.float32),
+        (lambda rng: (300 * rng.standard_normal((4, 500))).astype(np.float16), np.float32),
+        (lambda rng: rng.integers(-30000, 30000, size=(5, 700)).astype(np.int16), np.float32),
+        (lambda rng: rng.integers(-2**20, 2**20, size=(5, 700)).astype(np.int32), np.float64),
+        (lambda rng: rng.integers(-1000, 1000, size=(5, 300)), np.float64),
+        (lambda rng: correlated(rng, 5, 700).astype(">f4"), np.float32),
+    ], ids=["int8", "uint8", "bool", "float16", "int16", "int32", "int64", "big_endian_f32"])
+    def test_matches_float64_oracle(self, make, dtype):
+        x = make(np.random.default_rng(29))
+        want = float64_gram(x)
+        got = gram(x)
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("fn", [gram, lambda x: sdkt_loss(x, [(np.ones((3, 4)), 1.0)]),
+                                    lambda x: sdkt_grad(x, [(np.ones((3, 4)), 1.0)])],
+                             ids=["gram", "sdkt_loss", "sdkt_grad"])
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128, object])
+    def test_non_real_rejected(self, fn, dtype):
+        with pytest.raises(DomainError, match="real features"):
+            fn(np.ones((3, 4), dtype=dtype))
 
 
 class TestEmptyFeatures:
