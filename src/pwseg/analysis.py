@@ -42,16 +42,16 @@ class MadInput:
             raise DomainError(f"voxel spacing must be positive and finite, got {self.spacing}")
 
 
-# Entries of W per leaf of mad's sum; a leaf's rows of distances stay in L2.
-MAD_LEAF = 65536
-
-
 def mad(inp: MadInput) -> float:
     """Mean attention distance: (1/L) sum_ij W_ij * distance(i, j).
 
     Row sums must be 1 within 1e-3 and entries non-negative (beyond a small
     numerical slack); distances are voxel-center Euclidean distances scaled
-    by the physical spacing.
+    by the physical spacing.  A distance depends only on the z offset delta
+    and the (y, x) pair, so W's [D, H*W, D, H*W] view is folded once per
+    delta, its diagonal at that offset against one (H*W) x (H*W) distance
+    table.  The result is within a relative 1e-14 of the exact sum
+    (math.fsum) of W * distance, not that sum bit for bit.
     """
     w = inp.weights
     l = w.shape[0]
@@ -62,24 +62,17 @@ def mad(inp: MadInput) -> float:
         raise DomainError(f"attention row {worst} sums to {row_sums[worst]:.6f}, not 1")
     if not (w.min() >= -1e-9):
         raise DomainError(f"attention weights must be non-negative, min is {w.min():.3e}")
-    # Squared offsets along z and across the (y, x) plane: integers, so their sums are exact.
-    dz, dy, dx = (np.subtract.outer(a, a) ** 2 for a in (np.arange(n, dtype=np.float64) for n in inp.grid))
-    hw = dy.shape[0] * dx.shape[0]
-    plane = (dy[:, None, :, None] + dx[None, :, None, :]).reshape(hw, hw)
-
-    def weighted_sum(lo: int, n: int):
-        """np.sum of W * distance over flat entries [lo, lo + n), halved as np.sum halves an
-        array (first half rounded down to a multiple of 8) into leaves of <= MAD_LEAF."""
-        if n > MAD_LEAF:
-            half = n // 2 - n // 2 % 8
-            return weighted_sum(lo, half) + weighted_sum(lo + half, n - half)
-        z, yx = np.divmod(np.arange(lo // l, (lo + n - 1) // l + 1), hw)
-        seg = np.sqrt((dz[z][:, :, None] + plane[yx][:, None, :]).reshape(-1)[lo % l :][:n])
-        seg *= inp.spacing
-        seg *= w.reshape(-1)[lo : lo + n]
-        return seg.sum()
-
-    return float(weighted_sum(0, l * l) / l)
+    d, h, ww = inp.grid
+    # Squared offsets along y and x: integers, so their sums are exact.
+    dy, dx = (np.subtract.outer(a, a) ** 2 for a in (np.arange(n, dtype=np.float64) for n in (h, ww)))
+    w4 = w.reshape(d, h * ww, d, h * ww)
+    dist = np.empty((h, ww, h, ww))
+    total = 0.0
+    for delta in range(1 - d, d):
+        np.add((dy + delta * delta)[:, None, :, None], dx[None, :, None, :], out=dist)
+        np.sqrt(dist, out=dist)
+        total += np.einsum("ab,abz->", dist.reshape(h * ww, h * ww), np.diagonal(w4, delta, 0, 2))
+    return float(total * inp.spacing / l)
 
 
 def dice(pred: np.ndarray, gt: np.ndarray) -> float:

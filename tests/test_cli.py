@@ -12,7 +12,8 @@ import pytest
 
 import pwseg
 from pwseg import volume_io
-from pwseg.cli import main
+from pwseg.cli import _parse_teacher, main
+from pwseg.errors import DomainError
 
 TINY_CONFIG = {
     "input_extent": [32, 32, 32],
@@ -143,14 +144,13 @@ class TestErrorExit:
             ("list.json", "[1, 2]", "JSON object"),
         ],
     )
-    def test_unreadable_config_file(self, tmp_path, name, text, message):
+    def test_unreadable_config_file(self, capsys, tmp_path, name, text, message):
         cfg_path = tmp_path / name
         if text is not None:
             cfg_path.write_text(text)
-        code, err = run_cli_process("flops", "--config", str(cfg_path))
-        assert code == 2
-        assert err.startswith("error:") and message in err
-        assert "Traceback" not in err
+        code, lines = run_cli_error(capsys, "flops", "--config", str(cfg_path))
+        assert code == 2 and len(lines) == 1
+        assert lines[0].startswith("error:") and message in lines[0]
 
     @pytest.mark.parametrize("shape", [(3, 1, 32, 32, 32), (2, 2, 32, 32, 32)])
     def test_forward_input_shape(self, capsys, tmp_path, tiny_config_path, shape):
@@ -164,14 +164,25 @@ class TestErrorExit:
         assert not (tmp_path / "out.vxs").exists()
 
     @pytest.mark.parametrize("weight", ["heavy", "nan", "-1"])
-    def test_bad_teacher_weight(self, tmp_path, weight):
+    def test_bad_teacher_weight(self, capsys, tmp_path, weight):
         volume_io.write(tmp_path / "x.vxs", np.ones((1, 2, 2, 2, 2), dtype=np.float32))
-        code, err = run_cli_process(
-            "sdkt-loss", "--seg", str(tmp_path / "x.vxs"), "--teacher", f"{tmp_path / 'x.vxs'}:{weight}"
+        code, lines = run_cli_error(
+            capsys, "sdkt-loss", "--seg", str(tmp_path / "x.vxs"), "--teacher", f"{tmp_path / 'x.vxs'}:{weight}"
         )
-        assert code == 2
-        assert err.startswith("error:") and f":{weight}'" in err
-        assert "Traceback" not in err
+        assert code == 2 and len(lines) == 1
+        assert lines[0].startswith("error:") and f":{weight}'" in lines[0]
+
+    @pytest.mark.parametrize("spec", ["f.vxs:abc", "f.vxs:-1"])
+    def test_teacher_weight_is_domain_error(self, spec):
+        with pytest.raises(DomainError, match=spec):
+            _parse_teacher(spec)
+
+    def test_grid_not_three_extents(self, capsys):
+        """parse_extent's ArgumentTypeError is an argparse usage error: exit 2 before any handler runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(["mad", "--weights", "w.vxs", "--grid", "4x4"])
+        assert exc.value.code == 2
+        assert "expected DxHxW, got '4x4'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value, field",
@@ -288,6 +299,14 @@ class TestBenchCli:
         assert got["patches_per_second"] > 0
         on_disk = json.loads(report_path.read_text())
         assert on_disk["config_digest"] == got["config_digest"]
+
+    def test_extent_overrides_config(self, capsys, tmp_path):
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(dict(TINY_CONFIG, input_extent=[64, 64, 64], attention_depth=[0, 0, 0, 0])))
+        code, got = run_cli(
+            capsys, "bench", "--config", str(cfg_path), "--extent", "32x32x32", "--iters", "1", "--warmup", "1"
+        )
+        assert code == 0 and got["extent"] == [32, 32, 32]
 
     def test_threads_assigned_over_exported_value(self, capsys, tmp_path, monkeypatch):
         """An exported OMP_NUM_THREADS cannot re-thread BLAS: each worker gets one."""

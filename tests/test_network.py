@@ -81,6 +81,24 @@ def symbolic_param_count(cfg: NetworkConfig) -> int:
     return total
 
 
+# (field, invalid value, what the ConfigError message must contain) for each validate_config rule.
+INVALID_FIELDS = [
+    ("modalities", 0, "modalities must be >= 1, got 0"),
+    ("num_classes", 0, "num_classes must be >= 1, got 0"),
+    ("c_min", 0, "c_min"),
+    ("head_width", 0, "head_width"),
+    ("decoder_depth", 0, "decoder_depth"),
+    ("patch_stride", 1, "patch stride must be >= 2, got 1"),
+    ("stage_widths", (16, 32, 64), "stage_widths must have 4 entries, got 3"),
+    ("kernels", (1, 2, 3), r"kernels must be odd positive sizes, got \(1, 2, 3\)"),
+    ("kernels", (-1, 3), r"kernels must be odd positive sizes, got \(-1, 3\)"),
+    ("expansion_ratios", (3, 0, 2, 2), "stage 2: expansion ratio"),
+    ("n_head", (1, 1, 0, 1), "stage 3: .*head count"),
+    ("attention_depth", (1, -1, 1, 1), "stage 2: block depths must be non-negative"),
+    ("conv_depth", (1, 1, 1, -2), "stage 4: block depths must be non-negative"),
+]
+
+
 class TestBuild:
     def test_deterministic(self):
         a = build(SMALL, seed=42)
@@ -126,6 +144,14 @@ class TestBuild:
     def test_bad_extent_rejected(self):
         with pytest.raises((ConfigError, ShapeError)):
             build(replace(SMALL, input_extent=(48, 48, 48)), seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message", INVALID_FIELDS, ids=[f"{field}={value}" for field, value, _ in INVALID_FIELDS]
+    )
+    def test_invalid_field_rejected(self, field, value, message):
+        """Each validate_config rule raises a ConfigError naming the field or value."""
+        with pytest.raises(ConfigError, match=message):
+            validate_config(replace(SMALL, **{field: value}))
 
     @pytest.mark.parametrize("cfg", [SMALL, replace(SMALL, decoder_depth=2)], ids=["depth1", "depth2"])
     def test_decoder_fuse_projects_concat_to_level_width(self, cfg):

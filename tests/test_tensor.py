@@ -311,6 +311,21 @@ class TestConv3d:
         with pytest.raises(ConfigError):
             ConvParams(weight=np.ones((2, 2, 2, 2, 2), dtype=np.float32))
 
+    @pytest.mark.parametrize(
+        "shape, extra, message",
+        [
+            ((2, 2, 1, 1), {}, "rank 5, got rank 4"),
+            ((2, 2, 1, 3, 3), {}, r"cubic, got \(1, 3, 3\)"),
+            ((2, 2, 1, 1, 1), {"groups": 0}, "groups must be positive, got 0"),
+            ((3, 1, 1, 1, 1), {"groups": 2}, "output channels 3 not divisible by groups 2"),
+            ((2, 2, 1, 1, 1), {"bias": np.zeros(3)}, r"bias shape \(3,\) != \(2,\)"),
+        ],
+        ids=["rank", "cubic", "groups", "c_out_groups", "bias"],
+    )
+    def test_invalid_params_rejected(self, shape, extra, message):
+        with pytest.raises(ConfigError, match=message):
+            ConvParams(weight=np.ones(shape, dtype=np.float32), **extra)
+
     def test_stride_below_one_rejected(self):
         with pytest.raises(ConfigError, match="stride"):
             ConvParams(weight=np.ones((2, 2, 1, 1, 1), dtype=np.float32), stride=0)
