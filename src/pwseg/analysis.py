@@ -20,48 +20,53 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .tensor import spatial_triple
 
 
 @dataclass(frozen=True)
 class MadInput:
-    """A row-stochastic attention matrix over a voxel grid with physical spacing."""
+    """A row-stochastic attention matrix over a voxel grid with physical spacing.
+
+    Construction checks that rows sum to 1 within 1e-3 and entries are >= -1e-9;
+    ``weights`` is a read-only float64 view (of the input itself when it is one).
+    """
 
     weights: np.ndarray
     grid: tuple[int, int, int]
     spacing: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.ascontiguousarray(self.weights, dtype=np.float64))
-        object.__setattr__(self, "grid", tuple(int(g) for g in self.grid))
-        if len(self.grid) != 3 or min(self.grid) < 1:
+        w = np.ascontiguousarray(self.weights, dtype=np.float64).view()
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "grid", spatial_triple(self.grid, "grid"))
+        if min(self.grid) < 1:
             raise ShapeError(f"grid must be three extents >= 1, got {self.grid}")
         l = self.grid[0] * self.grid[1] * self.grid[2]
-        if self.weights.shape != (l, l):
-            raise ShapeError(f"weights shape {self.weights.shape} != ({l}, {l}) for grid {self.grid}")
+        if w.shape != (l, l):
+            raise ShapeError(f"weights shape {w.shape} != ({l}, {l}) for grid {self.grid}")
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise DomainError(f"voxel spacing must be positive and finite, got {self.spacing}")
+        row_sums = w.sum(axis=1)
+        # Written as "not (ok)" so that a NaN anywhere fails the check.
+        if not (np.max(np.abs(row_sums - 1.0)) <= 1e-3):
+            worst = int(np.argmax(np.abs(row_sums - 1.0)))
+            raise DomainError(f"attention row {worst} sums to {row_sums[worst]:.6f}, not 1")
+        if not (w.min() >= -1e-9):
+            raise DomainError(f"attention weights must be non-negative, min is {w.min():.3e}")
 
 
 def mad(inp: MadInput) -> float:
     """Mean attention distance: (1/L) sum_ij W_ij * distance(i, j).
 
-    Row sums must be 1 within 1e-3 and entries non-negative (beyond a small
-    numerical slack); distances are voxel-center Euclidean distances scaled
-    by the physical spacing.  A distance depends only on the z offset delta
-    and the (y, x) pair, so W's [D, H*W, D, H*W] view is folded once per
-    delta, its diagonal at that offset against one (H*W) x (H*W) distance
-    table.  The result is within a relative 1e-14 of the exact sum
-    (math.fsum) of W * distance, not that sum bit for bit.
+    Distances are voxel-center Euclidean distances scaled by the physical
+    spacing.  A distance depends only on the z offset delta and the (y, x)
+    pair, so W's [D, H*W, D, H*W] view is folded once per delta, its
+    diagonal at that offset against one (H*W) x (H*W) distance table.  The
+    result is within a relative 1e-14 of the exact sum (math.fsum) of
+    W * distance, not that sum bit for bit.  ``MadInput`` checked W.
     """
     w = inp.weights
-    l = w.shape[0]
-    row_sums = w.sum(axis=1)
-    # Written as "not (ok)" so that a NaN anywhere fails the check.
-    if not (np.max(np.abs(row_sums - 1.0)) <= 1e-3):
-        worst = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise DomainError(f"attention row {worst} sums to {row_sums[worst]:.6f}, not 1")
-    if not (w.min() >= -1e-9):
-        raise DomainError(f"attention weights must be non-negative, min is {w.min():.3e}")
     d, h, ww = inp.grid
     # Squared offsets along y and x: integers, so their sums are exact.
     dy, dx = (np.subtract.outer(a, a) ** 2 for a in (np.arange(n, dtype=np.float64) for n in (h, ww)))
@@ -72,7 +77,7 @@ def mad(inp: MadInput) -> float:
         np.add((dy + delta * delta)[:, None, :, None], dx[None, :, None, :], out=dist)
         np.sqrt(dist, out=dist)
         total += np.einsum("ab,abz->", dist.reshape(h * ww, h * ww), np.diagonal(w4, delta, 0, 2))
-    return float(total * inp.spacing / l)
+    return float(total * inp.spacing / w.shape[0])
 
 
 def dice(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -131,8 +136,8 @@ def bench(cfg, threads: int = 1, iters: int = 10, warmup: int = 1, seed: int = 0
         raise DomainError(f"threads must be >= 1, got {threads}")
     net = build(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    d, h, w = cfg.input_extent
-    volumes = [rng.standard_normal((1, d, h, w), dtype=np.float32) for _ in range(cfg.modalities)]
+    extent = spatial_triple(cfg.input_extent, "input_extent")
+    volumes = [rng.standard_normal((1, *extent), dtype=np.float32) for _ in range(cfg.modalities)]
 
     for _ in range(warmup):
         forward(net, volumes)
@@ -152,7 +157,7 @@ def bench(cfg, threads: int = 1, iters: int = 10, warmup: int = 1, seed: int = 0
     shares = {k: v / total_cost for k, v in breakdown.items()}
     return BenchReport(
         config_digest=config_digest(cfg),
-        extent=tuple(cfg.input_extent),
+        extent=extent,
         threads=threads,
         warmup_iters=warmup,
         measure_iters=iters,

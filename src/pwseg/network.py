@@ -36,10 +36,12 @@ from .tensor import (
     ConvParams,
     gelu,
     init_conv,
+    is_integral,
     layer_norm,
     param_count,  # noqa: F401  (re-exported: pwseg.network.param_count)
     pointwise_conv,
     require_finite,
+    spatial_triple,
     voxel_shuffle,
 )
 
@@ -78,8 +80,12 @@ class NetworkConfig:
         return 1 if self.early_fusion else self.modalities
 
     def stage_extents(self) -> tuple[tuple[int, int, int], ...]:
-        extent = tuple(int(e) for e in self.input_extent)
-        check_extent(extent, self.cumulative_strides[-1])
+        """Per-stage feature extents; ShapeError unless the input extent divides by the deepest stride."""
+        extent = spatial_triple(self.input_extent, "input_extent")
+        stride = self.cumulative_strides[-1]
+        for axis, e in zip(SPATIAL_AXES, extent):
+            if e <= 0 or e % stride != 0:
+                raise ShapeError(f"input {axis} extent {e} not divisible by cumulative stride {stride}")
         return tuple(tuple(e // s for e in extent) for s in self.cumulative_strides)
 
     def stage_schedule(self, stage: int) -> WindowSchedule:
@@ -90,9 +96,7 @@ class NetworkConfig:
 
 def _int(key: str, value) -> int:
     """A JSON integer (or integral number) for field ``key``; bools and strings are rejected."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
+    if not is_integral(value):
         raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
     return int(value)
 
@@ -137,14 +141,6 @@ def conv_only(cfg: NetworkConfig) -> NetworkConfig:
     return replace(cfg, attention_depth=(0,) * N_STAGES)
 
 
-def check_extent(extent, stride: int) -> None:
-    if len(extent) != 3:
-        raise ShapeError(f"extent must be a (D, H, W) triple, got {extent}")
-    for axis, e in zip(SPATIAL_AXES, extent):
-        if e <= 0 or e % stride != 0:
-            raise ShapeError(f"input {axis} extent {e} not divisible by cumulative stride {stride}")
-
-
 def validate_config(cfg: NetworkConfig) -> None:
     """Raise ConfigError naming the stage and constraint on any inconsistency."""
     if cfg.modalities < 1:
@@ -174,7 +170,7 @@ def validate_config(cfg: NetworkConfig) -> None:
             entry = getattr(cfg, name)[k]
             if not isinstance(entry, (tuple, list)) or len(entry) != 3:
                 raise ConfigError(f"stage {k + 1}: {name} entry {entry!r} must be a (D, H, W) triple")
-    check_extent(cfg.input_extent, cfg.cumulative_strides[-1])
+    cfg.stage_extents()
     for k in range(N_STAGES):
         try:
             cfg.stage_schedule(k)
@@ -476,10 +472,8 @@ def _walk(net: Network, extent=None):
     bias adds, the closed-form window model for the attention core, and one
     op per element for norms, activations and residual adds.
     """
-    cfg = net.config
-    if extent is not None:
-        cfg = replace(cfg, input_extent=tuple(extent))
-    extent = tuple(int(e) for e in cfg.input_extent)
+    extent = spatial_triple(net.config.input_extent if extent is None else extent, "extent")
+    cfg = replace(net.config, input_extent=extent)
     ext = cfg.stage_extents()
     m_att = cfg.attention_modalities
 
@@ -537,7 +531,7 @@ def total_flops(net: Network, extent=None) -> int:
 def attention_stage_flops(cfg: NetworkConfig, extent=None) -> list[int]:
     """Closed-form attention cost per stage (one value per attention block)."""
     if extent is not None:
-        cfg = replace(cfg, input_extent=tuple(extent))
+        cfg = replace(cfg, input_extent=spatial_triple(extent, "extent"))
     stage_ext = cfg.stage_extents()
     costs = []
     for k in range(N_STAGES):

@@ -28,6 +28,7 @@ from .tensor import (
     max_pool3,
     pointwise_conv,
     softmax_rows,
+    spatial_triple,
 )
 
 # Floats in one attention chunk's [windows, n_head, T, T] logits buffer.
@@ -78,9 +79,9 @@ def window_schedule(extent, big1, small1=(1, 1, 1), r: int = 2) -> WindowSchedul
     Requires extent/big1 to be the same power of r on every axis (so the last
     pair reaches the full extent) and big1 divisible by small1.
     """
-    extent = tuple(int(e) for e in extent)
-    big1 = tuple(int(b) for b in big1)
-    small1 = tuple(int(s) for s in small1)
+    extent = spatial_triple(extent, "extent")
+    big1 = spatial_triple(big1, "big1")
+    small1 = spatial_triple(small1, "small1")
     _check_rate(r)
     steps = set()
     for axis, e, b, s in zip(SPATIAL_AXES, extent, big1, small1):
@@ -122,8 +123,8 @@ def fit_big_window(extent, minimum, r: int = 2) -> tuple[int, int, int]:
     for a rate below 2, where no schedule expands.
     """
     _check_rate(r)
-    extent = tuple(int(e) for e in extent)
-    minimum = tuple(int(m) for m in minimum)
+    extent = spatial_triple(extent, "extent")
+    minimum = spatial_triple(minimum, "minimum")
     best = []
     for e, m in zip(extent, minimum):
         j = 0
@@ -344,7 +345,7 @@ def pwa_flops(extent, sched: WindowSchedule, channels: int, modalities: int = 1)
     token stream; M modality tokens scale the projection term by M and the
     quadratic attention term by M^2.  Evaluated in exact rational arithmetic.
     """
-    extent = tuple(int(e) for e in extent)
+    extent = spatial_triple(extent, "extent")
     if extent != sched.extent:
         raise ShapeError(f"extent {extent} != schedule extent {sched.extent}")
     n_vol = prod(extent)

@@ -23,9 +23,6 @@ _KEY_WORD = {
     np.dtype(np.float32): (2, 0x807FFFFF807FFFFF),
     np.dtype(np.float64): (1, 0x800FFFFFFFFFFFFF),
 }
-# Rows of the column-major copy masked and hashed per matmul, so each block's
-# masked words stay in cache (256 KiB at 16 float32 channels).
-_KEY_BLOCK = 4096
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:
@@ -67,13 +64,7 @@ def _word_multipliers(words: int) -> np.ndarray:
 def _column_keys(t: np.ndarray) -> np.ndarray:
     """One key per row of ``t``: wrapping uint64 sum of its masked words times the word constants."""
     words = t.view(np.uint64)
-    mask = np.uint64(_KEY_WORD[t.dtype][1])
-    multipliers = _word_multipliers(words.shape[1])
-    keys = np.empty(words.shape[0], dtype=np.uint64)
-    for start in range(0, words.shape[0], _KEY_BLOCK):
-        stop = start + _KEY_BLOCK
-        np.matmul(words[start:stop] & mask, multipliers, out=keys[start:stop])
-    return keys
+    return np.einsum("ij,j->i", words & np.uint64(_KEY_WORD[t.dtype][1]), _word_multipliers(words.shape[1]))
 
 
 def _canonical_order(t: np.ndarray) -> np.ndarray:
@@ -108,9 +99,10 @@ def gram(x: np.ndarray) -> np.ndarray:
     (summation order would otherwise leak voxel order into the rounding).
     The features are copied once into a column-major float32 or float64
     matrix t = [volume, C'] (other real dtypes are promoted; C' pads C to
-    whole 64-bit words with a zero column).  Each voxel's key is one uint64
-    matmul of its words, sign and mantissa bits only, so x and 2^k x sort
-    alike and power-of-two scales stay exact; the key's top bits and the
+    whole 64-bit words with a zero column).  Each voxel's key is a wrapping
+    uint64 dot product of its words, sign and mantissa bits only, with fixed
+    constants (one einsum over t), so x and 2^k x sort alike and
+    power-of-two scales stay exact; the key's top bits and the
     voxel index share one word, so one sort gives the order.  Equal keys on
     bit-identical voxels are harmless in any order; if two distinct voxels
     share the top bits of a key, the voxels are lexsorted instead.  The

@@ -29,6 +29,25 @@ DTYPE = np.float32
 SPATIAL_AXES = ("depth", "height", "width")
 
 
+def is_integral(value) -> bool:
+    """True for an integer or a float with no fractional part (numpy scalars too); False for a bool."""
+    if isinstance(value, (float, np.floating)):
+        return value.is_integer()
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def spatial_triple(triple, what: str) -> tuple[int, int, int]:
+    """``triple`` as three ints: the one parser of every (D, H, W) extent, window and grid.
+
+    Raises ShapeError naming ``what`` unless ``triple`` holds exactly three
+    :func:`is_integral` entries (the ``config_from_dict`` rule); nothing is truncated.
+    """
+    entries = tuple(triple) if np.iterable(triple) else ()
+    if len(entries) != 3 or not all(map(is_integral, entries)):
+        raise ShapeError(f"{what} must be a (D, H, W) triple of integers, got {triple!r}")
+    return tuple(map(int, entries))
+
+
 def require_finite(arr: np.ndarray, what: str = "tensor") -> np.ndarray:
     """Return ``arr`` unchanged; raise NonFiniteError if it holds NaN or Inf."""
     if not np.isfinite(arr).all():

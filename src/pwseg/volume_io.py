@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedVersionError,
     VolumeFormatError,
 )
-from .tensor import DTYPE, require_finite
+from .tensor import DTYPE, SPATIAL_AXES, require_finite, spatial_triple
 
 MAGIC = b"VXSG"
 VERSION = 1
@@ -97,8 +97,8 @@ def gen_synthetic(spec: SyntheticSpec, seed: int):
     voxels within a blob radius of some blob center.  Returns
     (volumes [M, 1, D, H, W], label [1, 1, D, H, W]).
     """
-    d, h, w = (int(e) for e in spec.extent)
-    for axis, e in zip(("depth", "height", "width"), (d, h, w)):
+    d, h, w = spatial_triple(spec.extent, "extent")
+    for axis, e in zip(SPATIAL_AXES, (d, h, w)):
         if e <= 0 or e % 32 != 0:
             raise ConfigError(f"{axis} extent {e} must be a positive multiple of 32")
     if spec.modalities < 1:

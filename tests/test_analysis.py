@@ -75,6 +75,26 @@ def _mad_peak(grid) -> int:
         tracemalloc.stop()
 
 
+def _exact_sum_weights(grid) -> np.ndarray:
+    """Skewed row-stochastic weights (seed 5) over ``grid``, the inputs of the exact-sum and pinned-value tests."""
+    l = math.prod(grid)
+    w = np.random.default_rng(5).random((l, l)) ** 4
+    return w / w.sum(axis=1, keepdims=True)
+
+
+# mad of _exact_sum_weights(grid) at spacings 1.0 and 0.7, as returned before the checks moved into MadInput.
+PINNED_MAD = {
+    (6, 6, 6): (3.9044407423215777, 2.7331085196251044),
+    (2, 3, 4): (1.8635882534631187, 1.304511777424183),
+    (3, 5, 7): (3.3434533131939776, 2.3404173192357844),
+    (7, 7, 7): (4.587553159409262, 3.2112872115864826),
+    (1, 1, 301): (100.40847937886545, 70.28593556520582),
+    (5, 13, 11): (6.623587025067413, 4.636510917547189),
+    (3, 17, 6): (6.468621323315896, 4.528034926321127),
+    (301, 1, 1): (100.40847937886548, 70.28593556520583),
+}
+
+
 class TestMad:
     def test_identity_weights(self):
         assert mad(MadInput(np.eye(8), (2, 2, 2))) == 0.0
@@ -93,11 +113,7 @@ class TestMad:
             np.testing.assert_allclose(mad(inp), brute_force_mad(w, grid, 1.25), rtol=1e-12)
 
     @pytest.mark.parametrize("spacing", [1.0, 0.7])
-    @pytest.mark.parametrize(
-        "grid",
-        [(6, 6, 6), (2, 3, 4), (3, 5, 7), (7, 7, 7), (1, 1, 301), (5, 13, 11), (3, 17, 6), (301, 1, 1)],
-        ids=lambda g: "x".join(map(str, g)),
-    )
+    @pytest.mark.parametrize("grid", list(PINNED_MAD), ids=lambda g: "x".join(map(str, g)))
     def test_matches_exact_sum(self, grid, spacing):
         """mad is within a relative 1e-14 of the exact sum (math.fsum) of the whole W * distance matrix.
 
@@ -106,14 +122,18 @@ class TestMad:
         """
         d, h, ww = grid
         l = d * h * ww
-        rng = np.random.default_rng(5)
-        w = rng.random((l, l)) ** 4
-        w /= w.sum(axis=1, keepdims=True)
+        w = _exact_sum_weights(grid)
         idx = np.arange(l)
         coords = np.stack([idx % ww, (idx % (h * ww)) // ww, idx // (h * ww)], axis=1).astype(np.float64)
         dist = spacing * np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
         want = math.fsum((w * dist).ravel()) / l
         np.testing.assert_allclose(mad(MadInput(w, grid, spacing=spacing)), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("grid", list(PINNED_MAD), ids=lambda g: "x".join(map(str, g)))
+    def test_value_pinned(self, grid):
+        """Checking W in MadInput leaves mad's fold, and so its value, bit for bit as it was."""
+        w = _exact_sum_weights(grid)
+        assert (mad(MadInput(w, grid)), mad(MadInput(w, grid, spacing=0.7))) == PINNED_MAD[grid]
 
     def test_no_distance_matrix(self):
         """On a 12^3 grid mad's peak allocation is a few (H*W)^2 distance tables, not an L x L buffer."""
@@ -164,15 +184,15 @@ class TestMad:
 
     def test_row_sum_validation(self):
         bad = np.full((8, 8), 0.2)
-        with pytest.raises(ValueError, match="sums to"):
-            mad(MadInput(bad, (2, 2, 2)))
+        with pytest.raises(DomainError, match="sums to"):
+            MadInput(bad, (2, 2, 2))
 
     def test_negative_weights_rejected(self):
         w = np.eye(8)
         w[0, 0] = 2.0
         w[0, 1] = -1.0
-        with pytest.raises(ValueError, match="non-negative"):
-            mad(MadInput(w, (2, 2, 2)))
+        with pytest.raises(DomainError, match="non-negative"):
+            MadInput(w, (2, 2, 2))
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
@@ -182,7 +202,15 @@ class TestMad:
         w = np.full((8, 8), 0.125)
         w[3, 5] = np.nan
         with pytest.raises(DomainError, match="row 3 sums to nan"):
-            mad(MadInput(w, (2, 2, 2)))
+            MadInput(w, (2, 2, 2))
+
+    def test_weights_are_a_read_only_view(self):
+        """MadInput holds a C-contiguous float64 W by reference and cannot write through it."""
+        w = np.full((8, 8), 0.125)
+        inp = MadInput(w, (2, 2, 2))
+        assert np.shares_memory(inp.weights, w) and w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            inp.weights[0, 0] = 1.0
 
     @pytest.mark.parametrize("spacing", [np.nan, np.inf, 0.0])
     def test_spacing_must_be_positive_and_finite(self, spacing):
@@ -264,6 +292,11 @@ class TestBench:
         report = bench(TINY, threads=2, iters=2, warmup=1, seed=0)
         assert report.threads == 2
         assert report.patches_per_second > 0
+
+    def test_integral_float_extent(self):
+        """An extent of integral floats builds, runs and is reported as ints."""
+        report = bench(NetworkConfig(input_extent=(32.0, 32, 32)), iters=1, warmup=1)
+        assert report.extent == (32, 32, 32) and all(type(e) is int for e in report.extent)
 
     def test_repeatability(self):
         """Two measurements of one workload agree within the machine-noise bound.

@@ -121,6 +121,18 @@ def rowwise_gram(x):
     return (g + g.T) * 0.5
 
 
+def blocked_keys(t):
+    """Oracle: the column keys as one uint64 matmul per block of 4096 rows, as before the one einsum."""
+    words = t.view(np.uint64)
+    mask = np.uint64(sdkt._KEY_WORD[t.dtype][1])
+    multipliers = sdkt._word_multipliers(words.shape[1])
+    keys = np.empty(words.shape[0], dtype=np.uint64)
+    for start in range(0, words.shape[0], 4096):
+        stop = start + 4096
+        np.matmul(words[start:stop] & mask, multipliers, out=keys[start:stop])
+    return keys
+
+
 def correlated(rng, c, n, dtype=np.float32):
     mix = rng.standard_normal((c, c)) / np.sqrt(c) + np.eye(c)
     return (mix @ rng.standard_normal((c, n))).astype(dtype)
@@ -246,6 +258,21 @@ class TestColumnMajor:
         got = gram(x)
         assert got.dtype == want.dtype
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: correlated(rng, 16, 48**3),
+        lambda rng: correlated(rng, 3, 4097),
+        lambda rng: correlated(rng, 1, 10),
+        lambda rng: correlated(rng, 5, 4095, np.float64),
+        lambda rng: correlated(rng, 15, 9000, np.float64),
+        lambda rng: rng.integers(-128, 128, size=(16, 5000)).astype(np.int8),
+    ], ids=["f32_c16_48cubed", "f32_c3", "f32_c1", "f64_c5", "f64_c15", "int8_c16"])
+    def test_keys_equal_blocked_matmul(self, make):
+        """Wrapping uint64 sums do not depend on the order or blocking of the products."""
+        t = sdkt._column_major(sdkt._as_matrix(make(np.random.default_rng(28))))
+        keys = sdkt._column_keys(t)
+        assert keys.dtype == np.uint64
+        np.testing.assert_array_equal(keys, blocked_keys(t))
 
     @pytest.mark.parametrize("c", [1, 2, 5, 16])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -6,7 +6,8 @@ on ``Network``.  An engine change that renames a callee, moves a call
 between modules or drops a field the tracer reads changes these counts, so
 this test pins them: per-key calls and executed multiplies, and multiplies
 per forward position group, for one 32^3 forward at M=2 and M=4 (build
-seed 0).
+seed 0), and per-key calls, multiplies and distinct Gram inputs for one
+analysis op (``sdkt_loss`` + ``sdkt_grad`` + ``mad``) on small fixed inputs.
 """
 
 import sys
@@ -184,3 +185,35 @@ def test_traced_forward_pinned(modalities):
     assert layers.calls == {key: calls for key, (calls, _) in LAYERS[modalities].items()}
     assert layers.mults == {key: mults for key, (_, mults) in LAYERS[modalities].items()}
     assert layers.group_mults == GROUP_MULTS[modalities]
+
+
+# span key -> (calls, executed multiplies) for one analysis op on the inputs below.  Each Gram
+# of a [C, N] tensor is C^2 N multiplies: 3072 (seg), 384 and 2000 (teachers), once in the
+# loss and once in the gradient; the gradient's own product is 3072.  mad is the tracer's
+# 5 L^2 shape formula at L = 24, not the multiplies mad executes.
+ANALYSIS = {
+    "analysis.mad": (1, 2880),
+    "sdkt.gram": (6, 10912),
+    "sdkt.sdkt_grad": (1, 3072),
+    "sdkt.sdkt_loss": (1, 0),
+}
+
+
+def test_traced_analysis_pinned():
+    rng = np.random.default_rng(0)
+    seg = rng.standard_normal((4, 4, 6, 8), dtype=np.float32)
+    teachers = [
+        (rng.standard_normal((4, 2, 3, 4), dtype=np.float32), 1.0),
+        (rng.standard_normal((4, 5, 5, 5), dtype=np.float32), 0.5),
+    ]
+    inp = analysis.MadInput(np.full((24, 24), 1 / 24), (2, 3, 4))
+    tracer = tracing.Tracer()
+    with tracing.Instrument(tracer, MODULES):
+        with tracer.op(0):
+            sdkt.sdkt_loss(seg, teachers)
+            sdkt.sdkt_grad(seg, teachers)
+            analysis.mad(inp)
+    (layers,) = tracing.per_op_layers(tracer.spans).values()
+    assert layers.calls == {key: calls for key, (calls, _) in ANALYSIS.items()}
+    assert layers.mults == {key: mults for key, (_, mults) in ANALYSIS.items()}
+    assert layers.distinct_gram_inputs == 3
