@@ -15,12 +15,12 @@ import math
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .tensor import spatial_triple
+from .tensor import DTYPE, spatial_triple
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,7 @@ class BenchReport:
 
 def config_digest(cfg) -> str:
     """Stable digest of a network configuration for report provenance."""
-    from dataclasses import asdict
-
-    return hashlib.sha256(json.dumps(asdict(cfg), sort_keys=True, default=list).encode()).hexdigest()[:16]
+    return hashlib.sha256(json.dumps(asdict(cfg), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def bench(cfg, threads: int = 1, iters: int = 10, warmup: int = 1, seed: int = 0) -> BenchReport:
@@ -136,8 +134,8 @@ def bench(cfg, threads: int = 1, iters: int = 10, warmup: int = 1, seed: int = 0
         raise DomainError(f"threads must be >= 1, got {threads}")
     net = build(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    extent = spatial_triple(cfg.input_extent, "input_extent")
-    volumes = [rng.standard_normal((1, *extent), dtype=np.float32) for _ in range(cfg.modalities)]
+    extent = net.config.input_extent
+    volumes = [rng.standard_normal((1, *extent), dtype=DTYPE) for _ in range(cfg.modalities)]
 
     for _ in range(warmup):
         forward(net, volumes)

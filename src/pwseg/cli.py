@@ -79,7 +79,7 @@ def _cmd_flops(args) -> int:
 
     cfg = _load_config(args.config)
     extent = args.extent or cfg.input_extent
-    net = build(cfg, seed=args.seed)
+    net = build(cfg, seed=0)
     breakdown = flop_breakdown(net, extent)
     report = {
         "extent": list(extent),
@@ -209,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flops", help="attention cost per stage and network totals")
     p.add_argument("--config", required=True)
     p.add_argument("--extent", type=parse_extent, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_flops)
 
     p = sub.add_parser("forward", help="run inference on a volume file")

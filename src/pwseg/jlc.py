@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .tensor import (
+    DTYPE,
     ConvParams,
     conv3d,
     gelu,
@@ -117,19 +118,15 @@ def build_jlc_block(
     branches = tuple(
         init_conv(rng, w, group_size, k, groups=w // group_size) for w, k in zip(widths, kernels)
     )
-    norm_scale = np.ones(channels, dtype=np.float32)
-    norm_shift = np.zeros(channels, dtype=np.float32)
-    ffn_norm_scale = np.ones(channels, dtype=np.float32)
-    ffn_norm_shift = np.zeros(channels, dtype=np.float32)
     hidden = expansion * channels
     ffn_expand = init_conv(rng, hidden, channels)
     ffn_project = init_conv(rng, channels, hidden)
     return JlcBlockParams(
         branches=branches,
-        norm_scale=norm_scale,
-        norm_shift=norm_shift,
-        ffn_norm_scale=ffn_norm_scale,
-        ffn_norm_shift=ffn_norm_shift,
+        norm_scale=np.ones(channels, dtype=DTYPE),
+        norm_shift=np.zeros(channels, dtype=DTYPE),
+        ffn_norm_scale=np.ones(channels, dtype=DTYPE),
+        ffn_norm_shift=np.zeros(channels, dtype=DTYPE),
         ffn_expand=ffn_expand,
         ffn_project=ffn_project,
     )

@@ -14,7 +14,7 @@ shuffle restores full resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import prod
 
 import numpy as np
@@ -50,7 +50,10 @@ N_STAGES = 4
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Architecture description; every field mirrors the JSON config schema."""
+    """Architecture description; every field mirrors the JSON config schema.
+
+    Making one (directly, from JSON or by ``replace``) runs :func:`_coerce` on each field.
+    """
 
     modalities: int = 2
     num_classes: int = 2
@@ -70,6 +73,10 @@ class NetworkConfig:
     head_width: int = 4
     patch_stride: int = 4
     early_fusion: bool = False
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _coerce(f.name, getattr(self, f.name), f.default))
 
     @property
     def cumulative_strides(self) -> tuple[int, ...]:
@@ -94,46 +101,45 @@ class NetworkConfig:
         return window_schedule(stage_extent, big1, self.small_window_minima[stage], self.r)
 
 
-def _int(key: str, value) -> int:
-    """A JSON integer (or integral number) for field ``key``; bools and strings are rejected."""
-    if not is_integral(value):
-        raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _coerce(key: str, value, default):
-    """``value`` checked against the JSON kind of field ``key``'s NetworkConfig ``default``.
+    """``value`` of field ``key`` as the kind of the field's ``default``: a bool, an int or a tuple.
 
-    A bool default takes a JSON bool, an int default an integer, and a tuple
-    default a list whose entries are each checked against its first entry.
+    Integral numbers (3.0 and ``np.int64(3)``, not bools) become ints, numpy
+    bools bools, and lists tuples, entry by entry.  Raises ConfigError naming
+    the field, the bad entry and the field's value as given.
     """
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"config field {key!r} must be true or false, got {value!r}")
-        return value
-    if isinstance(default, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"config field {key!r} must be a list, got {value!r}")
-        return tuple(_coerce(key, v, default[0]) for v in value)
-    return _int(key, value)
+
+    def check(v, d, entry: bool):
+        if isinstance(d, bool):
+            if isinstance(v, (bool, np.bool_)):
+                return bool(v)
+            want = "true or false"
+        elif isinstance(d, tuple):
+            if isinstance(v, (list, tuple)):
+                return tuple(check(e, d[0], True) for e in v)
+            want = "a list"
+        elif is_integral(v):
+            return int(v)
+        else:
+            want = "an integer"
+        named = f" entry {v!r}" if entry else ""
+        raise ConfigError(f"config field {key!r}{named} must be {want}, got {value!r}")
+
+    return check(value, default, False)
 
 
 def config_from_dict(payload: dict) -> NetworkConfig:
-    """Build a config from parsed JSON, type-checking fields and coercing lists to tuples.
+    """Build a config from parsed JSON; ``NetworkConfig`` checks and normalises each field.
 
-    Each field takes the JSON kind of its NetworkConfig default.  Raises
-    ConfigError naming the field on an unknown field, a bool field that is
-    not a JSON bool, an integer field (or list entry) holding a bool, a
-    string or a non-integral number, or a list field holding a non-list,
-    and when ``payload`` is not a JSON object.
+    Raises ConfigError when ``payload`` is not a JSON object or names an
+    unknown field, and as ``NetworkConfig`` does on a field of the wrong kind.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"config must be a JSON object, got {type(payload).__name__}")
-    fields = NetworkConfig.__dataclass_fields__
-    unknown = set(payload) - set(fields)
+    unknown = set(payload) - set(NetworkConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    return NetworkConfig(**{key: _coerce(key, value, fields[key].default) for key, value in payload.items()})
+    return NetworkConfig(**payload)
 
 
 def conv_only(cfg: NetworkConfig) -> NetworkConfig:
@@ -168,7 +174,7 @@ def validate_config(cfg: NetworkConfig) -> None:
             raise ConfigError(f"stage {k + 1}: block depths must be non-negative")
         for name in ("big_window_minima", "small_window_minima"):
             entry = getattr(cfg, name)[k]
-            if not isinstance(entry, (tuple, list)) or len(entry) != 3:
+            if len(entry) != 3:
                 raise ConfigError(f"stage {k + 1}: {name} entry {entry!r} must be a (D, H, W) triple")
     cfg.stage_extents()
     for k in range(N_STAGES):

@@ -40,7 +40,7 @@ def spatial_triple(triple, what: str) -> tuple[int, int, int]:
     """``triple`` as three ints: the one parser of every (D, H, W) extent, window and grid.
 
     Raises ShapeError naming ``what`` unless ``triple`` holds exactly three
-    :func:`is_integral` entries (the ``config_from_dict`` rule); nothing is truncated.
+    :func:`is_integral` entries (the ``NetworkConfig`` rule); nothing is truncated.
     """
     entries = tuple(triple) if np.iterable(triple) else ()
     if len(entries) != 3 or not all(map(is_integral, entries)):
@@ -123,7 +123,7 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndar
     while np.any(bad):
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(out) > 2.0 * std
-    return out.astype(np.float32)
+    return out.astype(DTYPE)
 
 
 def init_conv(

@@ -294,9 +294,11 @@ class TestBench:
         assert report.patches_per_second > 0
 
     def test_integral_float_extent(self):
-        """An extent of integral floats builds, runs and is reported as ints."""
-        report = bench(NetworkConfig(input_extent=(32.0, 32, 32)), iters=1, warmup=1)
+        """An extent of integral floats and numpy ints builds, runs and is reported (and digested) as ints."""
+        report = bench(NetworkConfig(input_extent=(32.0, 32, np.int64(32))), iters=1, warmup=1)
         assert report.extent == (32, 32, 32) and all(type(e) is int for e in report.extent)
+        plain = bench(NetworkConfig(input_extent=(32, 32, 32)), iters=1, warmup=1)
+        assert report.config_digest == plain.config_digest
 
     def test_repeatability(self):
         """Two measurements of one workload agree within the machine-noise bound.

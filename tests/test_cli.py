@@ -59,6 +59,14 @@ class TestFlops:
         assert got["total_flops"] == sum(got["breakdown"].values())
         assert got["param_count"] > 0
 
+    def test_seed_is_a_usage_error(self, capsys, tiny_config_path):
+        """Costs and parameter counts depend only on shapes, so ``flops`` takes no seed."""
+        with pytest.raises(SystemExit) as caught:
+            main(["flops", "--config", tiny_config_path, "--seed", "5"])
+        assert caught.value.code == 2
+        code, got = run_cli(capsys, "flops", "--config", tiny_config_path)
+        assert (code, got["total_flops"], got["param_count"]) == (0, 61140224, 903886)
+
 
 class TestForwardPipeline:
     def test_gen_synthetic_then_forward(self, capsys, tmp_path, tiny_config_path):

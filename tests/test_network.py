@@ -1,9 +1,11 @@
 """Network assembly tests: build, forward, counting, config plumbing."""
 
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from math import ceil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,6 +532,36 @@ WRONG_KIND = {
     "early_fusion": 1,
 }
 
+# The bad entry inside each list payload of WRONG_KIND; any other payload is bad as a whole.
+WRONG_ENTRY = {
+    "stage_widths": "64",
+    "group_sizes": True,
+    "kernels": 5.5,
+    "attention_depth": None,
+    "expansion_ratios": [2],
+    "big_window_minima": 6.5,
+    "small_window_minima": 1,
+}
+
+# One mistyped value per field for a config made in Python; each fails when the config is
+# made, with a ConfigError naming the field rather than a bare TypeError or a callee's message.
+PYTHON_PROBES = [
+    ("modalities", True),
+    ("stage_widths", "abcd"),
+    ("decoder_depth", 1.5),
+    ("head_width", "4"),
+    ("r", 2.5),
+    ("c_min", 8.5),
+    ("early_fusion", 1),
+    ("big_window_minima", ((3, 3, 3.5),) * 4),
+    ("small_window_minima", ((1, 1, 1.5),) * 4),
+]
+
+
+def _tuples(value):
+    """``value`` with every list, at any depth, made a tuple: the Python form of a JSON payload."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
 
 class TestConfigJson:
     def test_roundtrip(self):
@@ -579,11 +611,44 @@ class TestConfigJson:
 
     @pytest.mark.parametrize("field", sorted(NetworkConfig.__dataclass_fields__))
     def test_every_field_rejects_wrong_kind(self, field):
-        """Each field's JSON kind follows its default; a field missing from the table fails here."""
+        """Each field's kind follows its default; a field missing from the table fails here.
+
+        A config from JSON and one made in Python (lists given as tuples) fail
+        alike: the error names the field and the bad entry and shows the value as given.
+        """
+        bad = WRONG_ENTRY.get(field, WRONG_KIND[field])
+        for make, form in ((config_from_dict, lambda v: v), (lambda p: NetworkConfig(**p), _tuples)):
+            value = form(WRONG_KIND[field])
+            with pytest.raises(ConfigError) as caught:
+                make({field: value})
+            named = f" entry {form(bad)!r}" if field in WRONG_ENTRY else ""
+            assert str(caught.value).startswith(f"config field '{field}'{named} must be ")
+            assert str(caught.value).endswith(f"got {value!r}")
+
+    @pytest.mark.parametrize("field, value", PYTHON_PROBES, ids=[field for field, _ in PYTHON_PROBES])
+    def test_python_config_field_named(self, field, value):
+        """A config made in Python fails when it is made, naming the field, not in ``build``."""
         with pytest.raises(ConfigError, match=f"config field '{field}'"):
-            config_from_dict({field: WRONG_KIND[field]})
+            build(NetworkConfig(**{**SMALL.__dict__, field: value}), seed=0)
 
     def test_integral_numbers_accepted(self):
         cfg = config_from_dict({"num_classes": 3.0, "early_fusion": False})
         assert cfg.num_classes == 3 and type(cfg.num_classes) is int
         assert cfg.early_fusion is False
+
+    def test_python_numbers_normalised(self):
+        """Integral floats and numpy ints from Python read as ints, numpy bools as bools, as from JSON."""
+        cfg = NetworkConfig(modalities=2.0, stage_widths=(16.0, 32, 64, 128), r=np.int64(2), early_fusion=np.True_)
+        assert (cfg.modalities, cfg.stage_widths, cfg.r, cfg.early_fusion) == (2, (16, 32, 64, 128), 2, True)
+        assert all(type(v) is int for v in (cfg.modalities, *cfg.stage_widths, cfg.r))
+        assert cfg.early_fusion is True
+        payload = {"modalities": 2.0, "stage_widths": [16.0, 32, 64, 128], "r": 2, "early_fusion": True}
+        assert cfg == config_from_dict(payload)
+
+    def test_readme_config_examples(self):
+        """Every ``json`` block of the README is a valid config, so the documented schema cannot drift."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert blocks
+        for block in blocks:
+            validate_config(config_from_dict(json.loads(block)))

@@ -2,9 +2,12 @@
 
 Every extent, window and grid goes through ``tensor.spatial_triple``.  A triple
 that does not hold exactly three integral, non-bool numbers raises ShapeError
-naming the argument (or the ConfigError that ``validate_config`` wraps a
-window-minimum error in, naming the stage), and is never truncated; integral
-floats and numpy integers give the same result as plain ints.
+naming the argument, and is never truncated; integral floats and numpy
+integers give the same result as plain ints.  A config field's triple is first
+checked by ``NetworkConfig`` when the config is made: an entry of the wrong kind
+(or a scalar in place of the triple) raises ConfigError naming the field, and
+only a wrong length reaches ``build`` (the input extent's ShapeError, or the
+ConfigError that ``validate_config`` raises for a window minimum, naming the stage).
 """
 
 import hashlib
@@ -70,12 +73,14 @@ ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("bad", list(BAD.values()), ids=list(BAD))
+@pytest.mark.parametrize("bad", list(BAD))
 @pytest.mark.parametrize("entry", list(ENTRIES))
 def test_bad_triple_rejected(entry, bad):
     """The error names the argument and shows the triple as given, not a truncated one."""
     good, call, error, name = ENTRIES[entry]
-    triple = bad(good)
+    if entry.startswith("build.") and bad not in ("two", "four"):
+        error, name = ConfigError, f"config field {entry.removeprefix('build.')!r}"
+    triple = BAD[bad](good)
     with pytest.raises(error) as caught:
         call(triple)
     assert name in str(caught.value) and repr(triple) in str(caught.value)
