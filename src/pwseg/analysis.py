@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .tensor import DTYPE, spatial_triple
+from .tensor import DTYPE, seeded_rng, spatial_triple
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def bench(cfg, threads: int = 1, iters: int = 10, warmup: int = 1, seed: int = 0
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     net = build(cfg, seed=seed)
-    rng = np.random.default_rng(seed + 1)
+    rng = seeded_rng(seed + 1)
     extent = net.config.input_extent
     volumes = [rng.standard_normal((1, *extent), dtype=DTYPE) for _ in range(cfg.modalities)]
 

@@ -12,7 +12,9 @@ Subcommands:
 Heavy numeric imports happen inside the handlers (importing ``pwseg`` loads
 no submodule, and ``pwseg.errors`` imports nothing), so ``bench`` can pin
 BLAS thread counts via environment variables before numpy loads.  Any
-``pwseg.errors`` failure prints a one-line ``error:`` message and exits 2.
+``pwseg.errors`` failure, and any ``OSError`` on a file named on the command
+line (missing input, output in a missing directory), prints a one-line
+``error:`` message and exits 2.
 """
 
 from __future__ import annotations
@@ -256,11 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a pwseg error prints ``error: <message>`` and returns 2."""
+    """Run one subcommand; a pwseg or file error prints ``error: <message>`` and returns 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except PwsegError as exc:
+    except (PwsegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,6 +41,7 @@ from .tensor import (
     param_count,  # noqa: F401  (re-exported: pwseg.network.param_count)
     pointwise_conv,
     require_finite,
+    seeded_rng,
     spatial_triple,
     voxel_shuffle,
 )
@@ -52,7 +53,11 @@ N_STAGES = 4
 class NetworkConfig:
     """Architecture description; every field mirrors the JSON config schema.
 
-    Making one (directly, from JSON or by ``replace``) runs :func:`_coerce` on each field.
+    Making one (directly, from JSON or by ``replace``) runs :func:`_coerce` on
+    each field, then checks every rule, so a config that exists can be built
+    and costed.  Raises ConfigError naming the stage and constraint on any
+    inconsistency, and ShapeError when the input extent does not divide by the
+    deepest stride.
     """
 
     modalities: int = 2
@@ -77,6 +82,39 @@ class NetworkConfig:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _coerce(f.name, getattr(self, f.name), f.default))
+        if self.modalities < 1:
+            raise ConfigError(f"modalities must be >= 1, got {self.modalities}")
+        if self.num_classes < 1:
+            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
+        if self.c_min < 1 or self.head_width < 1 or self.decoder_depth < 1:
+            raise ConfigError("c_min, head_width and decoder_depth must all be >= 1")
+        if self.patch_stride < 2:
+            raise ConfigError(f"patch stride must be >= 2, got {self.patch_stride}")
+        for name in ("stage_widths", "group_sizes", "attention_depth", "conv_depth", "expansion_ratios",
+                     "n_head", "big_window_minima", "small_window_minima"):
+            if len(getattr(self, name)) != N_STAGES:
+                raise ConfigError(f"{name} must have {N_STAGES} entries, got {len(getattr(self, name))}")
+        if len(self.kernels) < 1 or any(k % 2 == 0 or k < 1 for k in self.kernels):
+            raise ConfigError(f"kernels must be odd positive sizes, got {self.kernels}")
+        for k in range(N_STAGES):
+            try:
+                branch_channel_split(self.stage_widths[k], self.group_sizes[k], len(self.kernels))
+            except ConfigError as exc:
+                raise ConfigError(f"stage {k + 1}: {exc}") from exc
+            if self.expansion_ratios[k] < 1 or self.n_head[k] < 1:
+                raise ConfigError(f"stage {k + 1}: expansion ratio and head count must be >= 1")
+            if self.attention_depth[k] < 0 or self.conv_depth[k] < 0:
+                raise ConfigError(f"stage {k + 1}: block depths must be non-negative")
+            for name in ("big_window_minima", "small_window_minima"):
+                entry = getattr(self, name)[k]
+                if len(entry) != 3:
+                    raise ConfigError(f"stage {k + 1}: {name} entry {entry!r} must be a (D, H, W) triple")
+        self.stage_extents()
+        for k in range(N_STAGES):
+            try:
+                self.stage_schedule(k)
+            except ShapeError as exc:
+                raise ConfigError(f"stage {k + 1}: cannot build window schedule: {exc}") from exc
 
     @property
     def cumulative_strides(self) -> tuple[int, ...]:
@@ -145,43 +183,6 @@ def config_from_dict(payload: dict) -> NetworkConfig:
 def conv_only(cfg: NetworkConfig) -> NetworkConfig:
     """The same architecture with every attention block disabled."""
     return replace(cfg, attention_depth=(0,) * N_STAGES)
-
-
-def validate_config(cfg: NetworkConfig) -> None:
-    """Raise ConfigError naming the stage and constraint on any inconsistency."""
-    if cfg.modalities < 1:
-        raise ConfigError(f"modalities must be >= 1, got {cfg.modalities}")
-    if cfg.num_classes < 1:
-        raise ConfigError(f"num_classes must be >= 1, got {cfg.num_classes}")
-    if cfg.c_min < 1 or cfg.head_width < 1 or cfg.decoder_depth < 1:
-        raise ConfigError("c_min, head_width and decoder_depth must all be >= 1")
-    if cfg.patch_stride < 2:
-        raise ConfigError(f"patch stride must be >= 2, got {cfg.patch_stride}")
-    for name in ("stage_widths", "group_sizes", "attention_depth", "conv_depth", "expansion_ratios",
-                 "n_head", "big_window_minima", "small_window_minima"):
-        if len(getattr(cfg, name)) != N_STAGES:
-            raise ConfigError(f"{name} must have {N_STAGES} entries, got {len(getattr(cfg, name))}")
-    if len(cfg.kernels) < 1 or any(k % 2 == 0 or k < 1 for k in cfg.kernels):
-        raise ConfigError(f"kernels must be odd positive sizes, got {cfg.kernels}")
-    for k in range(N_STAGES):
-        try:
-            branch_channel_split(cfg.stage_widths[k], cfg.group_sizes[k], len(cfg.kernels))
-        except ConfigError as exc:
-            raise ConfigError(f"stage {k + 1}: {exc}") from exc
-        if cfg.expansion_ratios[k] < 1 or cfg.n_head[k] < 1:
-            raise ConfigError(f"stage {k + 1}: expansion ratio and head count must be >= 1")
-        if cfg.attention_depth[k] < 0 or cfg.conv_depth[k] < 0:
-            raise ConfigError(f"stage {k + 1}: block depths must be non-negative")
-        for name in ("big_window_minima", "small_window_minima"):
-            entry = getattr(cfg, name)[k]
-            if len(entry) != 3:
-                raise ConfigError(f"stage {k + 1}: {name} entry {entry!r} must be a (D, H, W) triple")
-    cfg.stage_extents()
-    for k in range(N_STAGES):
-        try:
-            cfg.stage_schedule(k)
-        except ShapeError as exc:
-            raise ConfigError(f"stage {k + 1}: cannot build window schedule: {exc}") from exc
 
 
 # Bytes of patch columns that ``downsample_conv`` builds at a time: 2 MiB,
@@ -304,10 +305,10 @@ def build(cfg: NetworkConfig, seed: int) -> Network:
     """Construct a network with seeded, reproducible initialization.
 
     Weights are truncated-normal (sigma 0.02), biases zero, norm scales one;
-    building twice with the same seed yields identical parameters.
+    building twice with the same seed yields identical parameters.  ``cfg``
+    checked itself when it was made; DomainError unless ``seed`` is an integer >= 0.
     """
-    validate_config(cfg)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     widths = cfg.stage_widths
     c1 = widths[0]
     m_att = cfg.attention_modalities
@@ -388,7 +389,7 @@ def forward(net: Network, volumes) -> np.ndarray:
         if v.shape != expected:
             raise ShapeError(
                 f"modality {m}: volume shape {v.shape} != {expected} (network built for extent "
-                f"{tuple(cfg.input_extent)})"
+                f"{cfg.input_extent})"
             )
         vols.append(require_finite(v, f"modality {m} volume"))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError, ShapeError
+from .errors import ConfigError, DomainError, NonFiniteError, ShapeError
 
 DTYPE = np.float32
 
@@ -34,6 +34,13 @@ def is_integral(value) -> bool:
     if isinstance(value, (float, np.floating)):
         return value.is_integer()
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; DomainError naming the seed unless it is an integer >= 0."""
+    if not (is_integral(seed) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(int(seed))
 
 
 def spatial_triple(triple, what: str) -> tuple[int, int, int]:

@@ -11,6 +11,7 @@ Files are little-endian and padding-free so they are byte-portable:
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .errors import (
     UnsupportedVersionError,
     VolumeFormatError,
 )
-from .tensor import DTYPE, SPATIAL_AXES, require_finite, spatial_triple
+from .tensor import DTYPE, SPATIAL_AXES, is_integral, require_finite, seeded_rng, spatial_triple
 
 MAGIC = b"VXSG"
 VERSION = 1
@@ -78,7 +79,12 @@ def read(path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Knobs for the synthetic PET/CT-like phantom generator."""
+    """Knobs for the synthetic PET/CT-like phantom generator.
+
+    Making one checks every field: ShapeError unless ``extent`` is a (D, H, W)
+    triple, ConfigError naming the field on any other bad value.  The extent
+    and the two counts are stored as ints, the other knobs as floats.
+    """
 
     extent: tuple[int, int, int] = (96, 96, 96)
     modalities: int = 2
@@ -86,6 +92,33 @@ class SyntheticSpec:
     blob_radius: float = 6.0
     blob_intensity: float = 4.0
     noise_sigma: float = 0.1
+
+    def __post_init__(self):
+        object.__setattr__(self, "extent", spatial_triple(self.extent, "extent"))
+        for name in ("modalities", "blob_count"):
+            value = getattr(self, name)
+            if not is_integral(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("blob_radius", "blob_intensity", "noise_sigma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        for axis, e in zip(SPATIAL_AXES, self.extent):
+            if e <= 0 or e % 32 != 0:
+                raise ConfigError(f"{axis} extent {e} must be a positive multiple of 32")
+        if self.modalities < 1:
+            raise ConfigError(f"modalities must be >= 1, got {self.modalities}")
+        if self.blob_count < 0:
+            raise ConfigError(f"blob_count must be >= 0, got {self.blob_count}")
+        half = min(self.extent) / 2
+        if not (math.isfinite(self.blob_radius) and 0 < self.blob_radius <= half):
+            raise ConfigError(f"blob_radius must lie in (0, {half}], got {self.blob_radius}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not math.isfinite(self.blob_intensity):
+            raise ConfigError(f"blob_intensity must be finite, got {self.blob_intensity}")
 
 
 def gen_synthetic(spec: SyntheticSpec, seed: int):
@@ -95,24 +128,11 @@ def gen_synthetic(spec: SyntheticSpec, seed: int):
     modality 2 (when present) carries high-intensity blobs on a dim noisy
     background, mimicking metabolic hotspots.  The label marks exactly the
     voxels within a blob radius of some blob center.  Returns
-    (volumes [M, 1, D, H, W], label [1, 1, D, H, W]).
+    (volumes [M, 1, D, H, W], label [1, 1, D, H, W]).  ``spec`` checked
+    itself when it was made; DomainError unless ``seed`` is an integer >= 0.
     """
-    d, h, w = spatial_triple(spec.extent, "extent")
-    for axis, e in zip(SPATIAL_AXES, (d, h, w)):
-        if e <= 0 or e % 32 != 0:
-            raise ConfigError(f"{axis} extent {e} must be a positive multiple of 32")
-    if spec.modalities < 1:
-        raise ConfigError(f"modalities must be >= 1, got {spec.modalities}")
-    if spec.blob_count < 0:
-        raise ConfigError(f"blob_count must be >= 0, got {spec.blob_count}")
-    half = min(d, h, w) / 2
-    if not (math.isfinite(spec.blob_radius) and 0 < spec.blob_radius <= half):
-        raise ConfigError(f"blob_radius must lie in (0, {half}], got {spec.blob_radius}")
-    if not (math.isfinite(spec.noise_sigma) and spec.noise_sigma >= 0):
-        raise ConfigError(f"noise_sigma must be finite and >= 0, got {spec.noise_sigma}")
-    if not math.isfinite(spec.blob_intensity):
-        raise ConfigError(f"blob_intensity must be finite, got {spec.blob_intensity}")
-    rng = np.random.default_rng(seed)
+    d, h, w = spec.extent
+    rng = seeded_rng(seed)
 
     zz, yy, xx = np.meshgrid(np.arange(d), np.arange(h), np.arange(w), indexing="ij")
     label = np.zeros((d, h, w), dtype=bool)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import pytest
 
 import pwseg
 from pwseg import volume_io
-from pwseg.cli import _parse_teacher, main
+from pwseg.cli import _parse_teacher, build_parser, main
 from pwseg.errors import DomainError
 
 TINY_CONFIG = {
@@ -247,6 +249,48 @@ class TestErrorExit:
         assert "Traceback" not in err
 
 
+    # subcommand -> (argv with {ok} for a readable volume and {gone} for a path in a missing directory)
+    FILE_ERRORS = {
+        "forward.input": ["forward", "--config", "{cfg}", "--input", "{gone}", "--output", "{out}"],
+        "forward.output": ["forward", "--config", "{cfg}", "--input", "{ok}", "--output", "{gone}"],
+        "sdkt-loss.seg": ["sdkt-loss", "--seg", "{gone}", "--teacher", "{feat}"],
+        "sdkt-loss.teacher": ["sdkt-loss", "--seg", "{feat}", "--teacher", "{gone}:2.0"],
+        "sdkt-loss.grad": ["sdkt-loss", "--seg", "{feat}", "--teacher", "{feat}", "--grad", "{gone}"],
+        "mad.weights": ["mad", "--weights", "{gone}", "--grid", "2x2x2"],
+        "bench.report": ["bench", "--config", "{bench_cfg}", "--iters", "1", "--report", "{gone}"],
+        "gen-synthetic.out-prefix": ["gen-synthetic", "--extent", "32x32x32", "--out-prefix", "{gone}"],
+    }
+
+    @pytest.mark.parametrize("case", list(FILE_ERRORS))
+    def test_file_error(self, capsys, tmp_path, tiny_config_path, case):
+        """A missing input, or an output in a missing directory, exits 2 with one line naming the path."""
+        volume_io.write(tmp_path / "ok.vxs", np.zeros((2, 1, 32, 32, 32), dtype=np.float32))
+        volume_io.write(tmp_path / "feat.vxs", np.ones((1, 2, 2, 2, 2), dtype=np.float32))
+        bench_cfg = tmp_path / "bench.json"
+        bench_cfg.write_text(json.dumps(dict(TINY_CONFIG, attention_depth=[0, 0, 0, 0])))
+        gone = tmp_path / "missing" / "f.vxs"
+        paths = {"cfg": tiny_config_path, "ok": tmp_path / "ok.vxs", "feat": tmp_path / "feat.vxs",
+                 "out": tmp_path / "out.vxs", "bench_cfg": bench_cfg, "gone": gone}
+        argv = [arg.format(**paths) for arg in self.FILE_ERRORS[case]]
+        code, lines = run_cli_error(capsys, *argv)
+        assert code == 2 and len(lines) == 1
+        assert lines[0].startswith("error:") and str(gone) in lines[0]
+
+    @pytest.mark.parametrize("command", ["forward", "bench", "gen-synthetic"])
+    def test_negative_seed(self, capsys, tmp_path, tiny_config_path, command):
+        """A seed below 0 is a DomainError naming it, not numpy's ValueError."""
+        volume_io.write(tmp_path / "in.vxs", np.zeros((2, 1, 32, 32, 32), dtype=np.float32))
+        argv = {
+            "forward": ["--config", tiny_config_path, "--input", str(tmp_path / "in.vxs"),
+                        "--output", str(tmp_path / "out.vxs")],
+            "bench": ["--config", tiny_config_path, "--iters", "1"],
+            "gen-synthetic": ["--extent", "32x32x32", "--out-prefix", str(tmp_path / "case")],
+        }[command]
+        code, lines = run_cli_error(capsys, command, *argv, "--seed", "-1")
+        assert code == 2 and lines == ["error: seed must be an integer >= 0, got -1"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "in.vxs"]
+
+
 class TestSdktLoss:
     def test_loss_and_grad(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
@@ -333,3 +377,23 @@ class TestBenchCli:
         env = dict(os.environ, PYTHONPATH=str(Path(pwseg.__file__).resolve().parents[1]))
         done = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60)
         assert done.returncode == 0
+
+
+def readme_cli_lines():
+    """The ``pwseg ...`` lines of the shell block under README's CLI heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("pwseg ")]
+
+
+class TestReadme:
+    """README's CLI block stays runnable: a renamed or dropped flag fails here, without running anything."""
+
+    def test_block_covers_every_subcommand(self):
+        subcommands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+        assert {shlex.split(line)[1] for line in readme_cli_lines()} == set(subcommands)
+
+    @pytest.mark.parametrize("line", readme_cli_lines(), ids=lambda line: line.split()[1])
+    def test_line_parses(self, line):
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert args.handler.__name__ == "_cmd_" + args.command.replace("-", "_")

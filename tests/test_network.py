@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pwseg import network
-from pwseg.errors import ConfigError, NonFiniteError, ScheduleError, ShapeError
+from pwseg.errors import ConfigError, DomainError, NonFiniteError, ScheduleError, ShapeError
 from pwseg.network import (
     NetworkConfig,
     attention_stage_flops,
@@ -23,7 +23,6 @@ from pwseg.network import (
     forward,
     param_count,
     total_flops,
-    validate_config,
 )
 from pwseg.pwa import pwa_flops
 from pwseg.tensor import ConvParams, param_arrays, pointwise_conv, voxel_shuffle
@@ -83,7 +82,7 @@ def symbolic_param_count(cfg: NetworkConfig) -> int:
     return total
 
 
-# (field, invalid value, what the ConfigError message must contain) for each validate_config rule.
+# (field, invalid value, what the ConfigError message must contain) for each NetworkConfig range rule.
 INVALID_FIELDS = [
     ("modalities", 0, "modalities must be >= 1, got 0"),
     ("num_classes", 0, "num_classes must be >= 1, got 0"),
@@ -92,6 +91,8 @@ INVALID_FIELDS = [
     ("decoder_depth", 0, "decoder_depth"),
     ("patch_stride", 1, "patch stride must be >= 2, got 1"),
     ("stage_widths", (16, 32, 64), "stage_widths must have 4 entries, got 3"),
+    ("stage_widths", (16, 32), "stage_widths must have 4 entries, got 2"),
+    ("group_sizes", (4, 8, 7, 16), "stage 3: group size 7 does not divide 64 channels"),
     ("kernels", (1, 2, 3), r"kernels must be odd positive sizes, got \(1, 2, 3\)"),
     ("kernels", (-1, 3), r"kernels must be odd positive sizes, got \(-1, 3\)"),
     ("expansion_ratios", (3, 0, 2, 2), "stage 2: expansion ratio"),
@@ -129,14 +130,12 @@ class TestBuild:
         assert param_count(net) > 0
 
     def test_group_divisibility_error_names_stage(self):
-        cfg = replace(SMALL, group_sizes=(4, 8, 7, 16))
         with pytest.raises(ConfigError, match="stage 3"):
-            build(cfg, seed=0)
+            replace(SMALL, group_sizes=(4, 8, 7, 16))
 
     def test_branch_feasibility_error(self):
-        cfg = replace(SMALL, stage_widths=(8, 32, 64, 128), group_sizes=(4, 8, 8, 16))
         with pytest.raises(ConfigError, match="stage 1"):
-            build(cfg, seed=0)
+            replace(SMALL, stage_widths=(8, 32, 64, 128), group_sizes=(4, 8, 8, 16))
 
     def test_rate_error_names_stage(self):
         """The rate rule comes from ``window_schedule``, wrapped as a ConfigError."""
@@ -151,9 +150,26 @@ class TestBuild:
         "field, value, message", INVALID_FIELDS, ids=[f"{field}={value}" for field, value, _ in INVALID_FIELDS]
     )
     def test_invalid_field_rejected(self, field, value, message):
-        """Each validate_config rule raises a ConfigError naming the field or value."""
+        """Each rule raises a ConfigError naming the field or value when the config is made, by either path.
+
+        So ``attention_stage_flops`` and the schedule never meet a config that ``build`` would reject.
+        """
         with pytest.raises(ConfigError, match=message):
-            validate_config(replace(SMALL, **{field: value}))
+            NetworkConfig(**{**SMALL.__dict__, field: value})
+        with pytest.raises(ConfigError, match=message):
+            replace(SMALL, **{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "0", None, np.nan])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(DomainError, match=f"seed must be an integer >= 0, got {re.escape(repr(seed))}"):
+            build(SMALL, seed=seed)
+
+    def test_integral_seed_accepted(self):
+        """3.0 and np.int64(3) build the network seed 3 builds."""
+        want = param_arrays(build(SMALL, seed=3))
+        for seed in (3.0, np.int64(3)):
+            for got, ref in zip(param_arrays(build(SMALL, seed=seed)), want):
+                np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("cfg", [SMALL, replace(SMALL, decoder_depth=2)], ids=["depth1", "depth2"])
     def test_decoder_fuse_projects_concat_to_level_width(self, cfg):
@@ -390,12 +406,10 @@ class TestCounting:
             assert got == want * cfg.attention_depth[k]
 
     def test_rate_below_two_fails_fast(self):
-        """The cost model and the schedule raise on r=1 without running validate_config."""
-        cfg = NetworkConfig(r=1)
-        with pytest.raises(ScheduleError, match="expansion rate"):
-            attention_stage_flops(cfg)
-        with pytest.raises(ScheduleError, match="expansion rate"):
-            cfg.stage_schedule(0)
+        """A config with r=1 cannot be made, so neither the cost model nor the schedule meets one."""
+        with pytest.raises(ConfigError, match="stage 1: .*expansion rate must be >= 2") as caught:
+            NetworkConfig(r=1)
+        assert isinstance(caught.value.__cause__, ScheduleError)
 
     def test_conv_only_disables_attention_costs(self):
         cfg = conv_only(NetworkConfig())
@@ -600,14 +614,13 @@ class TestConfigJson:
         "field, entry", [("small_window_minima", [1, 1, 1, 1]), ("big_window_minima", [3, 3])]
     )
     def test_window_minima_entries_must_be_triples(self, field, entry):
-        """Too long or too short an entry fails validation, naming the stage and field."""
+        """Too long or too short an entry fails when the config is made, naming the stage and field."""
         minima = [list(t) for t in getattr(SMALL, field)]
         minima[2] = entry
-        cfg = config_from_dict({"input_extent": [32, 32, 32], field: minima})
         with pytest.raises(ConfigError, match=f"stage 3: {field}"):
-            validate_config(cfg)
-        with pytest.raises(ConfigError, match=field):
-            build(cfg, seed=0)
+            config_from_dict({"input_extent": [32, 32, 32], field: minima})
+        with pytest.raises(ConfigError, match=f"stage 3: {field}"):
+            replace(SMALL, **{field: _tuples(minima)})
 
     @pytest.mark.parametrize("field", sorted(NetworkConfig.__dataclass_fields__))
     def test_every_field_rejects_wrong_kind(self, field):
@@ -651,4 +664,4 @@ class TestConfigJson:
         blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
         assert blocks
         for block in blocks:
-            validate_config(config_from_dict(json.loads(block)))
+            config_from_dict(json.loads(block))

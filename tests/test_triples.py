@@ -3,11 +3,12 @@
 Every extent, window and grid goes through ``tensor.spatial_triple``.  A triple
 that does not hold exactly three integral, non-bool numbers raises ShapeError
 naming the argument, and is never truncated; integral floats and numpy
-integers give the same result as plain ints.  A config field's triple is first
-checked by ``NetworkConfig`` when the config is made: an entry of the wrong kind
-(or a scalar in place of the triple) raises ConfigError naming the field, and
-only a wrong length reaches ``build`` (the input extent's ShapeError, or the
-ConfigError that ``validate_config`` raises for a window minimum, naming the stage).
+integers give the same result as plain ints.  A config field's triple is
+checked in full by ``NetworkConfig`` when the config is made: an entry of the
+wrong kind (or a scalar in place of the triple) raises ConfigError naming the
+field, and a wrong length raises the input extent's ShapeError, or for a window
+minimum a ConfigError naming the stage.  ``SyntheticSpec`` parses its extent
+when it is made, too.
 """
 
 import hashlib

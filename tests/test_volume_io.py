@@ -1,5 +1,6 @@
 """Volume file format and synthetic-phantom generator tests."""
 
+import re
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from pwseg.errors import (
     BadMagicError,
     ConfigError,
+    DomainError,
     NonFiniteError,
     TruncatedFileError,
     UnsupportedVersionError,
@@ -145,9 +147,46 @@ class TestSynthetic:
         ],
     )
     def test_invalid_spec_field_named(self, field, value):
-        spec = SyntheticSpec(extent=(32, 32, 32), **{field: value})
+        """A spec out of range fails when it is made, not in ``gen_synthetic``."""
         with pytest.raises(ConfigError, match=field):
-            gen_synthetic(spec, seed=0)
+            SyntheticSpec(extent=(32, 32, 32), **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("modalities", 2.5),
+            ("modalities", True),
+            ("modalities", "2"),
+            ("blob_count", 1.5),
+            ("blob_count", None),
+            ("blob_radius", "6"),
+            ("blob_intensity", True),
+            ("noise_sigma", 0.1j),
+        ],
+    )
+    def test_wrong_kind_named(self, field, value):
+        """A spec field of the wrong kind is a ConfigError naming it, not numpy's TypeError."""
+        with pytest.raises(ConfigError, match=f"^{field} must be an? (integer|real number), got "):
+            SyntheticSpec(extent=(32, 32, 32), **{field: value})
+
+    def test_numbers_normalised(self):
+        """Integral floats and numpy numbers read as ints and floats: the volumes match plain values."""
+        spec = SyntheticSpec(extent=(32.0, np.int64(32), 32), modalities=np.int64(2), blob_count=3.0,
+                             blob_radius=np.float32(6.0), blob_intensity=4, noise_sigma=np.float64(0.1))
+        plain = SyntheticSpec(extent=(32, 32, 32))
+        assert spec == plain and repr(spec) == repr(plain)
+        for got, want in zip(gen_synthetic(spec, seed=2), gen_synthetic(plain, seed=2)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(DomainError, match=f"seed must be an integer >= 0, got {re.escape(repr(seed))}"):
+            gen_synthetic(SyntheticSpec(extent=(32, 32, 32)), seed=seed)
+
+    def test_integral_seed_accepted(self):
+        spec = SyntheticSpec(extent=(32, 32, 32))
+        for got, want in zip(gen_synthetic(spec, seed=np.int64(4)), gen_synthetic(spec, seed=4.0)):
+            np.testing.assert_array_equal(got, want)
 
     def test_radius_up_to_half_the_smallest_extent(self):
         _, label = gen_synthetic(SyntheticSpec(extent=(32, 64, 64), blob_count=1, blob_radius=16.0), seed=0)
