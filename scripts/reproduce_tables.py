@@ -35,8 +35,7 @@ def print_bound_tables() -> None:
 
 def print_schedules(cfg: NetworkConfig) -> None:
     print(f"Window schedules for input extent {cfg.input_extent}:")
-    for k in range(4):
-        sched = cfg.stage_schedule(k)
+    for k, sched in enumerate(cfg.stage_schedules):
         bigs = [p[0] for p in sched.pairs]
         print(f"    stage {k + 1}: extent {sched.extent}, big windows {bigs}, L={sched.seq_len}")
     print()

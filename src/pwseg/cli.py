@@ -14,7 +14,8 @@ no submodule, and ``pwseg.errors`` imports nothing), so ``bench`` can pin
 BLAS thread counts via environment variables before numpy loads.  Any
 ``pwseg.errors`` failure, and any ``OSError`` on a file named on the command
 line (missing input, output in a missing directory), prints a one-line
-``error:`` message and exits 2.
+``error:`` message and exits 2.  A handler checks that it can open each
+output before it builds, runs or generates anything.
 """
 
 from __future__ import annotations
@@ -67,6 +68,14 @@ def _load_config(path: str):
     return config_from_dict(payload)
 
 
+def _check_output(path: str) -> None:
+    """Raise the OSError that writing ``path`` would, without truncating it or leaving a new file."""
+    existed = os.path.lexists(path)
+    open(path, "ab").close()
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_plan_groups(args) -> int:
     from .jl import plan_stages
 
@@ -99,6 +108,7 @@ def _cmd_forward(args) -> int:
     from .network import build, forward
 
     cfg = _load_config(args.config)
+    _check_output(args.output)
     net = build(cfg, seed=args.seed)
     logits = forward(net, list(volume_io.read(args.input)))
     volume_io.write(args.output, logits[None])
@@ -129,6 +139,8 @@ def _cmd_sdkt_loss(args) -> int:
     for spec in args.teacher:
         path, weight = _parse_teacher(spec)
         teachers.append((volume_io.read(path)[0], weight))
+    if args.grad:
+        _check_output(args.grad)
     loss = sdkt_loss(seg, teachers)
     if args.grad:
         grad = sdkt_grad(seg, teachers)
@@ -157,6 +169,8 @@ def _cmd_bench(args) -> int:
     cfg = _load_config(args.config)
     if args.extent is not None:
         cfg = replace(cfg, input_extent=args.extent)
+    if args.report:
+        _check_output(args.report)
     report = bench(
         cfg,
         threads=args.threads,
@@ -184,15 +198,12 @@ def _cmd_gen_synthetic(args) -> int:
         blob_intensity=args.blob_intensity,
         noise_sigma=args.noise_sigma,
     )
+    paths = [f"{args.out_prefix}_mod{m + 1}.vxs" for m in range(spec.modalities)] + [f"{args.out_prefix}_label.vxs"]
+    for path in paths:
+        _check_output(path)
     volumes, label = gen_synthetic(spec, seed=args.seed)
-    paths = []
-    for m in range(spec.modalities):
-        path = f"{args.out_prefix}_mod{m + 1}.vxs"
-        volume_io.write(path, volumes[m][None])
-        paths.append(path)
-    label_path = f"{args.out_prefix}_label.vxs"
-    volume_io.write(label_path, label)
-    paths.append(label_path)
+    for path, t in zip(paths, [*(v[None] for v in volumes), label]):
+        volume_io.write(path, t)
     print(json.dumps({"written": paths, "label_voxels": int(label.sum())}))
     return 0
 

@@ -15,6 +15,7 @@ shuffle restores full resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -54,10 +55,10 @@ class NetworkConfig:
     """Architecture description; every field mirrors the JSON config schema.
 
     Making one (directly, from JSON or by ``replace``) runs :func:`_coerce` on
-    each field, then checks every rule, so a config that exists can be built
-    and costed.  Raises ConfigError naming the stage and constraint on any
-    inconsistency, and ShapeError when the input extent does not divide by the
-    deepest stride.
+    each field, then checks every rule and makes :attr:`stage_schedules`, so a
+    config that exists can be built and costed.  Raises ConfigError naming the
+    stage and constraint on any inconsistency, and ShapeError when the input
+    extent does not divide by the deepest stride.
     """
 
     modalities: int = 2
@@ -109,12 +110,7 @@ class NetworkConfig:
                 entry = getattr(self, name)[k]
                 if len(entry) != 3:
                     raise ConfigError(f"stage {k + 1}: {name} entry {entry!r} must be a (D, H, W) triple")
-        self.stage_extents()
-        for k in range(N_STAGES):
-            try:
-                self.stage_schedule(k)
-            except ShapeError as exc:
-                raise ConfigError(f"stage {k + 1}: cannot build window schedule: {exc}") from exc
+        self.stage_schedules  # made here, so a config that exists has its schedules
 
     @property
     def cumulative_strides(self) -> tuple[int, ...]:
@@ -133,10 +129,17 @@ class NetworkConfig:
                 raise ShapeError(f"input {axis} extent {e} not divisible by cumulative stride {stride}")
         return tuple(tuple(e // s for e in extent) for s in self.cumulative_strides)
 
-    def stage_schedule(self, stage: int) -> WindowSchedule:
-        stage_extent = self.stage_extents()[stage]
-        big1 = fit_big_window(stage_extent, self.big_window_minima[stage], self.r)
-        return window_schedule(stage_extent, big1, self.small_window_minima[stage], self.r)
+    @cached_property
+    def stage_schedules(self) -> tuple[WindowSchedule, ...]:
+        """Per-stage window schedules, made once; not a field, so ``replace`` makes them anew."""
+        schedules = []
+        for k, extent in enumerate(self.stage_extents()):
+            try:
+                big1 = fit_big_window(extent, self.big_window_minima[k], self.r)
+                schedules.append(window_schedule(extent, big1, self.small_window_minima[k], self.r))
+            except ShapeError as exc:
+                raise ConfigError(f"stage {k + 1}: cannot build window schedule: {exc}") from exc
+        return tuple(schedules)
 
 
 def _coerce(key: str, value, default):
@@ -270,7 +273,6 @@ def _pwa_block_forward(features, blk: PwaBlockParams, sched: WindowSchedule):
 
 @dataclass(frozen=True)
 class StageParams:
-    schedule: WindowSchedule
     jlc_blocks: tuple[JlcBlockParams, ...]
     pwa_blocks: tuple[PwaBlockParams, ...]
     fuse_proj: ConvParams
@@ -319,9 +321,8 @@ def build(cfg: NetworkConfig, seed: int) -> Network:
     pwa_embed = init_conv(rng, c1, c1 if cfg.early_fusion else 1, kernel=s, stride=s)
 
     stages = []
-    for k in range(N_STAGES):
+    for k, sched in enumerate(cfg.stage_schedules):
         c = widths[k]
-        sched = cfg.stage_schedule(k)
         jlc_blocks = tuple(
             build_jlc_block(rng, c, cfg.group_sizes[k], cfg.expansion_ratios[k], cfg.kernels)
             for _ in range(cfg.conv_depth[k])
@@ -337,7 +338,6 @@ def build(cfg: NetworkConfig, seed: int) -> Network:
             pwa_down = init_conv(rng, widths[k + 1], c, kernel=2, stride=2)
         stages.append(
             StageParams(
-                schedule=sched,
                 jlc_blocks=jlc_blocks,
                 pwa_blocks=pwa_blocks,
                 fuse_proj=fuse_proj,
@@ -395,11 +395,11 @@ def forward(net: Network, volumes) -> np.ndarray:
 
     jx, px = _stem_forward(net, vols)
     skips = []
-    for stage in net.stages:
+    for stage, sched in zip(net.stages, cfg.stage_schedules):
         for blk in stage.jlc_blocks:
             jx = jlc_forward(jx, blk)
         for blk in stage.pwa_blocks:
-            px = _pwa_block_forward(px, blk, stage.schedule)
+            px = _pwa_block_forward(px, blk, sched)
         acc = px[0]
         for p in px[1:]:
             acc = acc + p
@@ -481,7 +481,7 @@ def _walk(net: Network, extent=None):
     """
     extent = spatial_triple(net.config.input_extent if extent is None else extent, "extent")
     cfg = replace(net.config, input_extent=extent)
-    ext = cfg.stage_extents()
+    ext = [sched.extent for sched in cfg.stage_schedules]
     m_att = cfg.attention_modalities
 
     def conv(group, p, e):
@@ -493,11 +493,11 @@ def _walk(net: Network, extent=None):
     yield "stem", "gelu", None, (net.modal_mixer.c_out, *extent), net.modal_mixer.c_out * prod(extent)
     yield conv("stem", net.jlc_embed, extent)
     yield from [conv("stem", net.pwa_embed, extent)] * m_att
-    for k, (stage, e) in enumerate(zip(net.stages, ext)):
+    for k, (stage, sched) in enumerate(zip(net.stages, cfg.stage_schedules)):
+        e = sched.extent
         c, n = cfg.stage_widths[k], prod(e)
         for blk in stage.jlc_blocks:
             yield "encoder_conv", "jlc_forward", blk, (c, *e), _jlc_block_flops(n, blk)
-        sched = cfg.stage_schedule(k)
         for blk in stage.pwa_blocks:
             # attention core plus its pre-projection layer norm
             yield "attention", "pwa_forward", blk.attn, (c, *e), pwa_flops(e, sched, c, m_att) + m_att * n * c
@@ -539,10 +539,7 @@ def attention_stage_flops(cfg: NetworkConfig, extent=None) -> list[int]:
     """Closed-form attention cost per stage (one value per attention block)."""
     if extent is not None:
         cfg = replace(cfg, input_extent=spatial_triple(extent, "extent"))
-    stage_ext = cfg.stage_extents()
-    costs = []
-    for k in range(N_STAGES):
-        sched = cfg.stage_schedule(k)
-        per_block = pwa_flops(stage_ext[k], sched, cfg.stage_widths[k], cfg.attention_modalities)
-        costs.append(per_block * cfg.attention_depth[k])
-    return costs
+    return [
+        pwa_flops(sched.extent, sched, cfg.stage_widths[k], cfg.attention_modalities) * cfg.attention_depth[k]
+        for k, sched in enumerate(cfg.stage_schedules)
+    ]

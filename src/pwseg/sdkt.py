@@ -11,6 +11,7 @@ counts this objective is exactly MMD^2 with the kernel (u^T v)^2 scaled by
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -117,14 +118,21 @@ def gram(x: np.ndarray) -> np.ndarray:
 
 
 def _teacher_grams(channels: int, teachers):
-    """Yield (Gram, weight) per (feature tensor, weight) teacher, checking its channels and weight."""
-    for t, (feat, weight) in enumerate(teachers):
+    """Yield (Gram, float weight) per (feature tensor, weight) teacher, checking its form, channels and weight.
+
+    A weight is a real number, not a bool, as ``SyntheticSpec``'s knobs are.
+    """
+    for t, entry in enumerate(teachers):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+            raise ShapeError(f"teacher {t} must be a (features, weight) pair, got a {type(entry).__name__}")
+        feat, weight = entry
         c = _as_matrix(feat).shape[0]
         if c != channels:
             raise ShapeError(f"teacher {t} has {c} channels, segmentation features have {channels}")
-        if not (math.isfinite(weight) and weight >= 0):
+        real = isinstance(weight, numbers.Real) and not isinstance(weight, bool)
+        if not (real and math.isfinite(weight) and weight >= 0):
             raise DomainError(f"teacher {t} has weight {weight!r}; it must be a finite number >= 0")
-        yield gram(feat), weight
+        yield gram(feat), float(weight)
 
 
 def sdkt_loss(d_seg: np.ndarray, teachers) -> float:

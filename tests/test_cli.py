@@ -261,9 +261,22 @@ class TestErrorExit:
         "gen-synthetic.out-prefix": ["gen-synthetic", "--extent", "32x32x32", "--out-prefix", "{gone}"],
     }
 
+    # output case -> the work its handler must not start before the output is checked
+    WORK = {
+        "forward.output": "pwseg.network.build",
+        "sdkt-loss.grad": "pwseg.sdkt.sdkt_loss",
+        "bench.report": "pwseg.analysis.bench",
+        "gen-synthetic.out-prefix": "pwseg.volume_io.gen_synthetic",
+    }
+
     @pytest.mark.parametrize("case", list(FILE_ERRORS))
-    def test_file_error(self, capsys, tmp_path, tiny_config_path, case):
-        """A missing input, or an output in a missing directory, exits 2 with one line naming the path."""
+    def test_file_error(self, capsys, monkeypatch, tmp_path, tiny_config_path, case):
+        """A missing input, or an output in a missing directory, exits 2 with one line naming the path.
+
+        An output is checked before the work, so the error comes first.
+        """
+        if case in self.WORK:
+            monkeypatch.setattr(self.WORK[case], lambda *a, **kw: pytest.fail(f"{case}: work ran first"))
         volume_io.write(tmp_path / "ok.vxs", np.zeros((2, 1, 32, 32, 32), dtype=np.float32))
         volume_io.write(tmp_path / "feat.vxs", np.ones((1, 2, 2, 2, 2), dtype=np.float32))
         bench_cfg = tmp_path / "bench.json"
@@ -289,6 +302,15 @@ class TestErrorExit:
         code, lines = run_cli_error(capsys, command, *argv, "--seed", "-1")
         assert code == 2 and lines == ["error: seed must be an integer >= 0, got -1"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "in.vxs"]
+
+    def test_output_check_keeps_existing_file(self, capsys, tmp_path, tiny_config_path):
+        """Checking an output before the work does not truncate it, so a run that fails later keeps it."""
+        report = tmp_path / "report.json"
+        report.write_text("kept")
+        argv = ["--config", tiny_config_path, "--iters", "1", "--seed", "-1", "--report", str(report)]
+        code, lines = run_cli_error(capsys, "bench", *argv)
+        assert code == 2 and lines == ["error: seed must be an integer >= 0, got -1"]
+        assert report.read_text() == "kept"
 
 
 class TestSdktLoss:

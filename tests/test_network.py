@@ -3,7 +3,7 @@
 import json
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from math import ceil
 from pathlib import Path
 
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pwseg import network
+from pwseg.analysis import config_digest
 from pwseg.errors import ConfigError, DomainError, NonFiniteError, ScheduleError, ShapeError
 from pwseg.network import (
     NetworkConfig,
@@ -65,7 +66,7 @@ def symbolic_param_count(cfg: NetworkConfig) -> int:
     total += conv(widths[0], widths[0], s) + conv(widths[0], widths[0] if cfg.early_fusion else 1, s)
     for k in range(4):
         c = widths[k]
-        sched = cfg.stage_schedule(k)
+        sched = cfg.stage_schedules[k]
         seq = m_att * sched.seq_len
         total += cfg.conv_depth[k] * jlc(c, cfg.group_sizes[k], cfg.expansion_ratios[k])
         total += cfg.attention_depth[k] * pwa(c, sched.n_win, seq, cfg.expansion_ratios[k], cfg.n_head[k])
@@ -155,7 +156,7 @@ class TestBuild:
         So ``attention_stage_flops`` and the schedule never meet a config that ``build`` would reject.
         """
         with pytest.raises(ConfigError, match=message):
-            NetworkConfig(**{**SMALL.__dict__, field: value})
+            NetworkConfig(**{**asdict(SMALL), field: value})
         with pytest.raises(ConfigError, match=message):
             replace(SMALL, **{field: value})
 
@@ -401,7 +402,7 @@ class TestCounting:
         cfg = NetworkConfig()
         per_stage = attention_stage_flops(cfg)
         for k, got in enumerate(per_stage):
-            sched = cfg.stage_schedule(k)
+            sched = cfg.stage_schedules[k]
             want = pwa_flops(cfg.stage_extents()[k], sched, cfg.stage_widths[k], cfg.modalities)
             assert got == want * cfg.attention_depth[k]
 
@@ -580,7 +581,7 @@ def _tuples(value):
 class TestConfigJson:
     def test_roundtrip(self):
         cfg = NetworkConfig()
-        payload = json.loads(json.dumps(cfg.__dict__, default=list))
+        payload = json.loads(json.dumps(asdict(cfg), default=list))
         assert config_from_dict(payload) == cfg
 
     def test_unknown_field_rejected(self):
@@ -642,7 +643,7 @@ class TestConfigJson:
     def test_python_config_field_named(self, field, value):
         """A config made in Python fails when it is made, naming the field, not in ``build``."""
         with pytest.raises(ConfigError, match=f"config field '{field}'"):
-            build(NetworkConfig(**{**SMALL.__dict__, field: value}), seed=0)
+            build(NetworkConfig(**{**asdict(SMALL), field: value}), seed=0)
 
     def test_integral_numbers_accepted(self):
         cfg = config_from_dict({"num_classes": 3.0, "early_fusion": False})
@@ -665,3 +666,37 @@ class TestConfigJson:
         assert blocks
         for block in blocks:
             config_from_dict(json.loads(block))
+
+
+class TestStageSchedules:
+    """A config makes its four window schedules once, when it is made; nothing else makes them."""
+
+    def test_schedules_made_once(self, monkeypatch):
+        calls = []
+        window_schedule = network.window_schedule
+        monkeypatch.setattr(network, "window_schedule", lambda *a, **kw: calls.append(a) or window_schedule(*a, **kw))
+
+        def counted(action):
+            """``action()`` and how many schedules it made."""
+            calls.clear()
+            return action(), len(calls)
+
+        cfg, made = counted(lambda: NetworkConfig(input_extent=(32, 32, 32)))
+        assert made == 4
+        net, made = counted(lambda: build(cfg, seed=0))
+        assert made == 0
+        vols = [np.zeros((1, 32, 32, 32), dtype=np.float32)] * cfg.modalities
+        assert counted(lambda: forward(net, vols))[1] == 0
+        assert counted(lambda: flop_breakdown(net))[1] == 4
+        assert counted(lambda: attention_stage_flops(cfg))[1] == 0
+        assert counted(lambda: attention_stage_flops(cfg, (64, 64, 64)))[1] == 4
+
+    def test_replace_makes_its_own_schedules(self):
+        cfg = NetworkConfig(input_extent=(32, 32, 32))
+        assert cfg.stage_schedules[0].extent == (8, 8, 8)
+        assert replace(cfg, input_extent=(64, 64, 64)).stage_schedules[0].extent == (16, 16, 16)
+
+    def test_config_digest_pinned(self):
+        """The cached schedules stay out of ``asdict``, so report provenance does not move."""
+        assert config_digest(NetworkConfig(input_extent=(32, 32, 32))) == "95f630c7420ebb40"
+        assert config_digest(NetworkConfig()) == "fda5b7af7b824c9d"

@@ -25,6 +25,13 @@ def test_reproduce_tables():
     lines = [line.strip() for line in done.stdout.splitlines()]
     plan_rows = ("n=1: (1, 2, 2, 4)", "n=2: (2, 4, 4, 8)", "n=4: (4, 8, 8, 16)", "natural2d, n=1: (1, 2, 4, 4)")
     assert all(row in lines for row in plan_rows), done.stdout
+    schedule_rows = (
+        "stage 1: extent (24, 24, 24), big windows [(3, 3, 3), (6, 6, 6), (12, 12, 12), (24, 24, 24)], L=27",
+        "stage 2: extent (12, 12, 12), big windows [(6, 6, 6), (12, 12, 12)], L=216",
+        "stage 3: extent (6, 6, 6), big windows [(3, 3, 3), (6, 6, 6)], L=27",
+        "stage 4: extent (3, 3, 3), big windows [(3, 3, 3)], L=27",
+    )
+    assert all(row in lines for row in schedule_rows), done.stdout
 
 
 def test_run_bench():

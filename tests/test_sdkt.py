@@ -453,12 +453,33 @@ class TestTeachers:
 
 
 class TestTeacherWeights:
-    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf, "1", [1.0], None, 2 + 0j, True, np.True_])
     @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
     def test_rejected_naming_teacher(self, fn, weight):
         x = np.random.default_rng(12).standard_normal((3, 10))
         with pytest.raises(DomainError, match="teacher 1 has weight"):
             fn(x, [(x, 1.0), (2 * x, weight)])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [lambda f: f, lambda f: (f,), lambda f: (f, 1.0, 1.0), lambda f: None],
+        ids=["bare", "one", "three", "none"],
+    )
+    @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
+    def test_entry_not_a_pair_names_teacher(self, fn, entry):
+        x = np.random.default_rng(12).standard_normal((3, 10))
+        with pytest.raises(ShapeError, match=r"teacher 1 must be a \(features, weight\) pair"):
+            fn(x, [(x, 1.0), entry(2 * x)])
+
+    @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
+    def test_numpy_weights_read_as_floats(self, fn):
+        """A numpy scalar weight gives the result of the same Python number, and a list pair is a pair."""
+        x = np.random.default_rng(12).standard_normal((3, 10)).astype(np.float32)
+        plain = fn(x, [(2 * x, 1.5), (3 * x, 2)])
+        for weight in (np.float32(1.5), np.float64(1.5)):
+            got = fn(x, [(2 * x, weight), [3 * x, np.int64(2)]])
+            assert type(got) is type(plain)
+            np.testing.assert_array_equal(got, plain)
 
     def test_zero_weight_allowed(self):
         x = np.random.default_rng(12).standard_normal((3, 10))

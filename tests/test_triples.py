@@ -45,7 +45,7 @@ W8 /= W8.sum(axis=1, keepdims=True)
 
 def _built(**fields):
     net = build(replace(CFG, **fields), seed=0)
-    return param_count(net), flop_breakdown(net), tuple(stage.schedule for stage in net.stages)
+    return param_count(net), flop_breakdown(net), net.config.stage_schedules
 
 
 def _volumes(spec):
