@@ -87,6 +87,6 @@ def head_channels(channels: int, c_min: int, n_win: int, n_head: int) -> int:
     least m in {c_min, 2*c_min, ...} with n_win * n_head * m >= channels.
     """
     for name, value in (("channels", channels), ("c_min", c_min), ("n_win", n_win), ("n_head", n_head)):
-        if value < 1:
+        if not value >= 1:
             raise DomainError(f"{name} must be >= 1, got {value}")
     return c_min * math.ceil(channels / (c_min * n_win * n_head))

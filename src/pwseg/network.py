@@ -423,10 +423,9 @@ def _stem_forward(net: Network, vols: list[np.ndarray]) -> tuple[np.ndarray, lis
 
     The concatenated volumes and the full-resolution mixed tensor live only
     here, so they are freed before stage 1 runs.  GELU overwrites the
-    mixer's output, which no one else holds.
+    mixer's fresh output, so the stem holds one full-resolution buffer.
     """
-    mixed = pointwise_conv(np.concatenate(vols, axis=0), net.modal_mixer)
-    gelu(mixed, out=mixed)
+    mixed = gelu(pointwise_conv(np.concatenate(vols, axis=0), net.modal_mixer))
     jx = downsample_conv(mixed, net.jlc_embed)
     if net.config.early_fusion:
         return jx, [downsample_conv(mixed, net.pwa_embed)]
@@ -479,8 +478,8 @@ def _walk(net: Network, extent=None):
     bias adds, the closed-form window model for the attention core, and one
     op per element for norms, activations and residual adds.
     """
-    extent = spatial_triple(net.config.input_extent if extent is None else extent, "extent")
-    cfg = replace(net.config, input_extent=extent)
+    cfg = net.config if extent is None else replace(net.config, input_extent=spatial_triple(extent, "extent"))
+    extent = cfg.input_extent
     ext = [sched.extent for sched in cfg.stage_schedules]
     m_att = cfg.attention_modalities
 

@@ -117,11 +117,13 @@ def gram(x: np.ndarray) -> np.ndarray:
     return (g + g.T) * 0.5  # exact symmetry despite BLAS rounding
 
 
-def _teacher_grams(channels: int, teachers):
-    """Yield (Gram, float weight) per (feature tensor, weight) teacher, checking its form, channels and weight.
+def _checked_teachers(channels: int, teachers) -> list:
+    """(feature tensor, float weight) per teacher, once every entry's form, rank, channels and weight pass.
 
     A weight is a real number, not a bool, as ``SyntheticSpec``'s knobs are.
+    The callers make no Gram before this returns, so a bad teacher costs none.
     """
+    checked = []
     for t, entry in enumerate(teachers):
         if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
             raise ShapeError(f"teacher {t} must be a (features, weight) pair, got a {type(entry).__name__}")
@@ -132,7 +134,8 @@ def _teacher_grams(channels: int, teachers):
         real = isinstance(weight, numbers.Real) and not isinstance(weight, bool)
         if not (real and math.isfinite(weight) and weight >= 0):
             raise DomainError(f"teacher {t} has weight {weight!r}; it must be a finite number >= 0")
-        yield gram(feat), float(weight)
+        checked.append((feat, float(weight)))
+    return checked
 
 
 def sdkt_loss(d_seg: np.ndarray, teachers) -> float:
@@ -142,10 +145,11 @@ def sdkt_loss(d_seg: np.ndarray, teachers) -> float:
     differ across tensors (the Gram is spatially invariant) but channel counts
     must match.  Non-negative; zero iff every teacher Gram equals the seg Gram.
     """
+    checked = _checked_teachers(_as_matrix(d_seg).shape[0], teachers)
     g_seg = gram(d_seg)
     total = 0.0
-    for g_teacher, weight in _teacher_grams(g_seg.shape[0], teachers):
-        diff = g_teacher - g_seg
+    for feat, weight in checked:
+        diff = gram(feat) - g_seg
         total += weight * float(np.sum(diff * diff))
     return total
 
@@ -158,10 +162,11 @@ def sdkt_grad(d_seg: np.ndarray, teachers) -> np.ndarray:
     """
     x = np.asarray(d_seg)
     m = _as_matrix(x)
+    checked = _checked_teachers(m.shape[0], teachers)
     g_seg = gram(x)
     acc = np.zeros_like(g_seg)
-    for g_teacher, weight in _teacher_grams(m.shape[0], teachers):
-        acc += weight * (g_seg - g_teacher)
+    for feat, weight in checked:
+        acc += weight * (g_seg - gram(feat))
     grad = acc @ m
     grad *= 4.0 / m.size
     return grad.reshape(x.shape)

@@ -7,11 +7,11 @@ Feature tensors are plain float32 numpy arrays of rank 4,
 so width is the fastest-varying axis.  M modalities travel as a list of M
 such tensors; the rank-5 [modality, channel, D, H, W] array is only the
 ``.vxs`` file layout (:mod:`pwseg.volume_io`).  Every operation here
-except :func:`softmax_rows` is a pure function of its inputs; outputs are
-freshly allocated arrays, never views into mutable state, unless
-:func:`gelu` is given an ``out`` array, which it fills and returns.
-``softmax_rows`` overwrites its argument with the result and returns it, so
-attention keeps one logits buffer per chunk.
+except :func:`softmax_rows` and :func:`gelu` is a pure function of its
+inputs; outputs are freshly allocated arrays, never views into mutable
+state.  ``softmax_rows`` and ``gelu`` overwrite their argument with the
+result and return it, so attention keeps one logits buffer per chunk and
+each GELU runs in the buffer its caller just made.
 """
 
 from __future__ import annotations
@@ -223,6 +223,7 @@ def max_pool3(x: np.ndarray, pool) -> np.ndarray:
     """
     if x.ndim < 3:
         raise ShapeError(f"max_pool3 input must have >= 3 dims, got {x.ndim}")
+    pool = spatial_triple(pool, "pool")
     _check_divisible(x.shape[-3:], pool, "pool")
     out = x
     for axis, k in zip(range(x.ndim - 3, x.ndim), pool):
@@ -235,13 +236,21 @@ def max_pool3(x: np.ndarray, pool) -> np.ndarray:
     return x.copy() if out is x else out
 
 
+def _overwritable(a) -> bool:
+    """True for a writeable floating-point ndarray: what an in-place kernel may overwrite."""
+    return isinstance(a, np.ndarray) and a.dtype.kind == "f" and a.flags.writeable
+
+
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the last axis, shift-invariant and stable.
 
     Overwrites the floating-point array ``m`` with its softmax and returns
     it: the row max is subtracted, exponentiated and divided by the row sum
-    in place, so no temporary of ``m``'s size is made.
+    in place, so no temporary of ``m``'s size is made.  Anything but a
+    writeable floating-point ndarray raises ShapeError before anything is written.
     """
+    if not _overwritable(m):
+        raise ShapeError(f"softmax_rows needs a writeable float array, got {getattr(m, 'dtype', type(m))}")
     m -= m.max(axis=-1, keepdims=True)
     np.exp(m, out=m)
     m /= m.sum(axis=-1, keepdims=True)
@@ -276,41 +285,30 @@ def instance_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.nda
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
-# Elements per GELU block: the scratch block and the output slice it fills
+# Elements per GELU block: the scratch block and the slice of x it overwrites
 # (2 x 128 KiB in float32) stay in L2 while the formula's passes run over them.
 GELU_BLOCK = 32768
 
 
-def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Gaussian error linear unit (tanh approximation).
+def gelu(x: np.ndarray) -> np.ndarray:
+    """Gaussian error linear unit (tanh approximation), in place.
 
-    Evaluates 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))) in blocks of
-    ``GELU_BLOCK`` elements, so no full-size temporary is made.  Floating
-    inputs keep their dtype, other inputs are promoted to float.  The result
-    goes to a new C-ordered array of the input's shape, or to ``out``: a
-    C-contiguous array of that shape and dtype, which may be ``x`` itself
-    (each block is read before it is written, so the bits are the same).
-    An ``out`` of another shape, dtype or layout, or one that overlaps
-    ``x`` without being ``x``, raises ShapeError before anything is written.
+    Overwrites ``x`` with 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))
+    and returns it, in blocks of ``GELU_BLOCK`` elements through one scratch
+    block: no full-size temporary, and each block is read before it is
+    written, so the bits are those of the same operations over the whole
+    array.  Anything but a writeable C-contiguous floating-point ndarray
+    raises ShapeError before anything is written.
     """
-    x = np.ascontiguousarray(x)
-    if x.dtype.kind != "f":
-        x = x.astype(np.result_type(x.dtype, DTYPE))
-    if out is None:
-        out = np.empty(x.shape, dtype=x.dtype)
-    elif out.shape != x.shape or out.dtype != x.dtype or not out.flags.c_contiguous:
-        raise ShapeError(f"gelu out must be a C-contiguous {x.dtype} array of shape {x.shape}")
-    elif np.may_share_memory(out, x) and out.ctypes.data != x.ctypes.data:
-        raise ShapeError("gelu out overlaps the input without being the input")
-    flat_x = x.reshape(-1)
-    flat_out = out.reshape(-1)
-    scratch = np.empty(min(flat_x.size, GELU_BLOCK), dtype=x.dtype)
-    for start in range(0, flat_x.size, GELU_BLOCK):
-        xb = flat_x[start : start + GELU_BLOCK]
-        ob = flat_out[start : start + GELU_BLOCK]
+    if not (_overwritable(x) and x.flags.c_contiguous):
+        raise ShapeError(f"gelu needs a writeable C-contiguous float array, got {getattr(x, 'dtype', type(x))}")
+    flat = x.reshape(-1)
+    scratch = np.empty(min(flat.size, GELU_BLOCK), dtype=x.dtype)
+    for start in range(0, flat.size, GELU_BLOCK):
+        xb = flat[start : start + GELU_BLOCK]
         t = scratch[: xb.size]
         # the whole-array expression's operations, in its order and dtype;
-        # ob may be xb: the elementwise multiply into ob is xb's last read
+        # xb is overwritten only after its last read into t
         np.multiply(xb, 0.044715, out=t)
         t *= xb
         t *= xb
@@ -318,9 +316,9 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         t *= _GELU_C
         np.tanh(t, out=t)
         t += 1.0
-        np.multiply(xb, 0.5, out=ob)
-        ob *= t
-    return out
+        xb *= 0.5
+        xb *= t
+    return x
 
 
 def voxel_shuffle(x: np.ndarray, factor: int) -> np.ndarray:

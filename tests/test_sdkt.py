@@ -24,6 +24,18 @@ def finite_difference_grad(x, teachers, h=1e-3):
     return fd
 
 
+def count_grams(monkeypatch):
+    """A list that records the shape of every ``sdkt.gram`` input from here on."""
+    calls = []
+
+    def counted(feat):
+        calls.append(np.shape(feat))
+        return gram(feat)
+
+    monkeypatch.setattr(sdkt, "gram", counted)
+    return calls
+
+
 class TestGram:
     def test_orthonormal_rows(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -428,22 +440,18 @@ class TestTeachers:
     @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
     def test_one_gram_per_tensor(self, monkeypatch, fn):
         x, teachers = self.teachers()
-        calls = []
-
-        def counted(feat):
-            calls.append(np.shape(feat))
-            return gram(feat)
-
-        monkeypatch.setattr(sdkt, "gram", counted)
+        calls = count_grams(monkeypatch)
         fn(x, teachers)
         assert calls == [x.shape, (4, 2, 2, 2), (4, 5)]
 
     @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
-    def test_channel_mismatch_names_teacher(self, fn):
+    def test_channel_mismatch_names_teacher(self, monkeypatch, fn):
         x, teachers = self.teachers()
         teachers.append((np.zeros((3, 8), dtype=np.float32), 1.0))
+        grams = count_grams(monkeypatch)
         with pytest.raises(ShapeError, match="teacher 2 has 3 channels"):
             fn(x, teachers)
+        assert grams == []
 
     @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
     def test_scalar_teacher_rejected(self, fn):
@@ -455,10 +463,12 @@ class TestTeachers:
 class TestTeacherWeights:
     @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf, "1", [1.0], None, 2 + 0j, True, np.True_])
     @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
-    def test_rejected_naming_teacher(self, fn, weight):
+    def test_rejected_naming_teacher(self, monkeypatch, fn, weight):
         x = np.random.default_rng(12).standard_normal((3, 10))
+        grams = count_grams(monkeypatch)
         with pytest.raises(DomainError, match="teacher 1 has weight"):
             fn(x, [(x, 1.0), (2 * x, weight)])
+        assert grams == []
 
     @pytest.mark.parametrize(
         "entry",
@@ -466,10 +476,12 @@ class TestTeacherWeights:
         ids=["bare", "one", "three", "none"],
     )
     @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
-    def test_entry_not_a_pair_names_teacher(self, fn, entry):
+    def test_entry_not_a_pair_names_teacher(self, monkeypatch, fn, entry):
         x = np.random.default_rng(12).standard_normal((3, 10))
+        grams = count_grams(monkeypatch)
         with pytest.raises(ShapeError, match=r"teacher 1 must be a \(features, weight\) pair"):
             fn(x, [(x, 1.0), entry(2 * x)])
+        assert grams == []
 
     @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
     def test_numpy_weights_read_as_floats(self, fn):

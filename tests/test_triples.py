@@ -22,7 +22,7 @@ from pwseg.analysis import MadInput, mad
 from pwseg.errors import ConfigError, ShapeError
 from pwseg.network import NetworkConfig, attention_stage_flops, build, flop_breakdown, param_count
 from pwseg.pwa import fit_big_window, pwa_flops, window_schedule
-from pwseg.tensor import spatial_triple
+from pwseg.tensor import max_pool3, spatial_triple
 from pwseg.volume_io import SyntheticSpec, gen_synthetic
 
 # Each bad form of a good triple t.
@@ -71,6 +71,7 @@ ENTRIES = {
     "pwa_flops": ((24, 24, 24), lambda t: pwa_flops(t, SCHEDULE, 16, 2), ShapeError, "extent"),
     "MadInput": ((2, 2, 2), lambda t: (MadInput(W8, t).grid, mad(MadInput(W8, t))), ShapeError, "grid"),
     "gen_synthetic": ((32, 32, 32), lambda t: _volumes(SyntheticSpec(extent=t)), ShapeError, "extent"),
+    "max_pool3": ((1, 2, 2), lambda t: max_pool3(W8.reshape(1, 1, 8, 8), t).tolist(), ShapeError, "pool"),
 }
 
 
