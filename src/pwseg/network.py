@@ -199,7 +199,7 @@ _SLAB_BYTES = 2 * 1024 * 1024
 
 
 def downsample_conv(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Non-overlapping patchify conv: an ungrouped ConvParams with kernel == stride.
+    """Non-overlapping patchify conv (ungrouped, kernel == stride), computed and returned in ``DTYPE``.
 
     Builds its patch columns one slab of whole output z-planes at a time,
     as many planes as fit in ``_SLAB_BYTES`` and at least one, and
@@ -222,9 +222,9 @@ def downsample_conv(x: np.ndarray, p: ConvParams) -> np.ndarray:
     nd, nh, nw = d // s, h // s, w // s
     weight = p.weight.reshape(p.c_out, -1)
     k = weight.shape[1]
-    out = np.empty((p.c_out, nd, nh * nw), dtype=np.result_type(weight, x))
-    planes = min(nd, max(1, _SLAB_BYTES // (k * nh * nw * x.itemsize)))
-    buf = np.empty(k * planes * nh * nw, dtype=x.dtype)
+    out = np.empty((p.c_out, nd, nh * nw), dtype=DTYPE)
+    planes = min(nd, max(1, _SLAB_BYTES // (k * nh * nw * out.itemsize)))
+    buf = np.empty(k * planes * nh * nw, dtype=DTYPE)
     x7 = x.reshape(c_in, nd, s, nh, s, nw, s)
     for z0 in range(0, nd, planes):
         z1 = min(z0 + planes, nd)

@@ -23,6 +23,7 @@ from .tensor import (
     DTYPE,
     SPATIAL_AXES,
     ConvParams,
+    _overwritable,
     init_conv,
     layer_norm,
     max_pool3,
@@ -135,6 +136,18 @@ def fit_big_window(extent, minimum, r: int = 2) -> tuple[int, int, int]:
     return tuple(e // r**j for e in extent)
 
 
+def _token_grids(batch: np.ndarray, sched: WindowSchedule, per_pair: int, modalities: int):
+    """Yield (i, small_i, m, view): pair i's modality-m rows of ``batch`` as [per_pair, nd, td, nh, th, nw, tw]."""
+    td, th, tw = sched.tokens_per_axis
+    offset = 0
+    for i, ((big, small), n_i) in enumerate(zip(sched.pairs, sched.window_counts())):
+        nd, nh, nw = (e // b for e, b in zip(sched.extent, big))
+        rows = batch[offset : offset + n_i].reshape(nd, nh, nw, per_pair, modalities, td, th, tw)
+        offset += n_i
+        for m in range(modalities):
+            yield i, small, m, rows[:, :, :, :, m].transpose(3, 0, 4, 1, 5, 2, 6)
+
+
 def gather(xs, sched: WindowSchedule, n_head: int, c_hat: int) -> np.ndarray:
     """Pool, window-partition, flatten and modality-concatenate projections.
 
@@ -143,7 +156,7 @@ def gather(xs, sched: WindowSchedule, n_head: int, c_hat: int) -> np.ndarray:
     small window i, then partitioned into the token grid of big window i and
     flattened to L tokens; the M modality sequences concatenate along the
     token axis (modality-major).  Partition and concatenation are one strided
-    copy per pair and modality, straight into the output.
+    copy per pair and modality, into that pair's token-grid view of the output.
     Returns [sum_i n_i, n_head, c_hat, M*L] ordered pair-major then
     window-lexicographic.
     """
@@ -158,20 +171,12 @@ def gather(xs, sched: WindowSchedule, n_head: int, c_hat: int) -> np.ndarray:
             )
         if x.shape[1:] != sched.extent:
             raise ShapeError(f"modality {m}: extent {x.shape[1:]} != schedule extent {sched.extent}")
-    td, th, tw = sched.tokens_per_axis
-    counts = sched.window_counts()
-    out = np.empty((sum(counts), n_head, c_hat, len(xs) * sched.seq_len), dtype=xs[0].dtype)
-    offset = 0
-    for i, ((big, small), n_i) in enumerate(zip(sched.pairs, counts)):
-        nd, nh, nw = (e // b for e, b in zip(sched.extent, big))
-        rows = out[offset : offset + n_i].reshape(nd, nh, nw, per_pair, len(xs), td, th, tw)
-        offset += n_i
-        for m, x in enumerate(xs):
-            grid = x[i * per_pair : (i + 1) * per_pair]
-            if small != (1, 1, 1):
-                grid = max_pool3(grid, small)
-            grid = grid.reshape(per_pair, nd, td, nh, th, nw, tw)
-            rows[:, :, :, :, m] = grid.transpose(1, 3, 5, 0, 2, 4, 6)
+    out = np.empty((sum(sched.window_counts()), n_head, c_hat, len(xs) * sched.seq_len), dtype=xs[0].dtype)
+    for i, small, m, view in _token_grids(out, sched, per_pair, len(xs)):
+        grid = xs[m][i * per_pair : (i + 1) * per_pair]
+        if small != (1, 1, 1):
+            grid = max_pool3(grid, small)
+        view[...] = grid.reshape(view.shape)
     return out
 
 
@@ -180,27 +185,18 @@ def scatter(batch: np.ndarray, sched: WindowSchedule, n_head: int, c_hat: int, m
 
     Each token is repeated across its small window, so gather(scatter(a))
     reproduces ``a`` exactly for any schedule.  Merge and repetition are one
-    strided broadcast copy per pair and modality, straight into the output.
+    strided broadcast copy per pair and modality, from its token-grid view.
     Returns one [n_win * n_head * c_hat, D, H, W] tensor per modality.
     """
-    counts = sched.window_counts()
     per_pair = n_head * c_hat
-    expected = (sum(counts), n_head, c_hat, modalities * sched.seq_len)
+    expected = (sum(sched.window_counts()), n_head, c_hat, modalities * sched.seq_len)
     if batch.shape != expected:
         raise ShapeError(f"sequence batch shape {batch.shape} != expected {expected}")
-    td, th, tw = sched.tokens_per_axis
     outs = [np.empty((sched.n_win * per_pair, *sched.extent), dtype=batch.dtype) for _ in range(modalities)]
-    offset = 0
-    for i, ((big, (sd, sh, sw)), n_i) in enumerate(zip(sched.pairs, counts)):
-        nd, nh, nw = (e // b for e, b in zip(sched.extent, big))
-        blk = batch[offset : offset + n_i].reshape(nd, nh, nw, per_pair, modalities, td, th, tw)
-        offset += n_i
-        for m in range(modalities):
-            # [per_pair, nd, td, nh, th, nw, tw], each token repeated over its small window
-            grid = blk[:, :, :, :, m].transpose(3, 0, 4, 1, 5, 2, 6)
-            dst = outs[m][i * per_pair : (i + 1) * per_pair]
-            dst = dst.reshape(per_pair, nd, td, sd, nh, th, sh, nw, tw, sw)
-            dst[...] = grid[:, :, :, None, :, :, None, :, :, None]
+    for i, (sd, sh, sw), m, view in _token_grids(batch, sched, per_pair, modalities):
+        _, nd, td, nh, th, nw, tw = view.shape
+        dst = outs[m][i * per_pair : (i + 1) * per_pair].reshape(per_pair, nd, td, sd, nh, th, sh, nw, tw, sw)
+        dst[...] = view[:, :, :, None, :, :, None, :, :, None]
     return outs
 
 
@@ -220,13 +216,16 @@ class CostMeter:
 
 
 def grouped_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, pos_bias: np.ndarray) -> np.ndarray:
-    """Scaled dot-product attention over a batch of gathered windows.
+    """Scaled dot-product attention over a batch of gathered windows, in place.
 
     Inputs are [n, n_head, c_hat, T].  ``pos_bias`` is one [T, T] table
     shared by every head and all n windows.  Per window and head the weights
     are softmax(q^T k / sqrt(c_hat) + pos_bias) and the output token j is the
-    weight-j-row combination of value tokens.
+    weight-j-row combination of value tokens, written over ``q`` (``k`` or ``v`` may be ``q``),
+    which is returned.  Anything but a writeable float ndarray ``q`` raises ShapeError up front.
     """
+    if not _overwritable(q):
+        raise ShapeError(f"grouped_attention needs a writeable float q, got {getattr(q, 'dtype', type(q))}")
     if q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(f"q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
     if q.ndim != 4:
@@ -236,16 +235,15 @@ def grouped_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, pos_bias: np.
     if pos_bias.shape != (tokens, tokens):
         raise ShapeError(f"position bias shape {pos_bias.shape} != {(tokens, tokens)}")
     scale = q.dtype.type(1.0 / np.sqrt(c_hat))
-    out = np.empty_like(q)
     chunk = max(1, _CHUNK_BUDGET // max(1, n_head * tokens * tokens))
     for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        logits = np.swapaxes(q[start:stop], 2, 3) @ k[start:stop]
+        s = slice(start, min(n, start + chunk))
+        logits = np.swapaxes(q[s], 2, 3) @ k[s]
         logits *= scale
         logits += pos_bias
         weights = softmax_rows(logits)
-        out[start:stop] = v[start:stop] @ np.swapaxes(weights, 2, 3)
-    return out
+        np.matmul(v[s], np.swapaxes(weights, 2, 3), out=q[s])
+    return q
 
 
 @dataclass(frozen=True)
@@ -298,8 +296,8 @@ def pwa_forward(
     """Full attention layer over M modality tensors of shape [C, D, H, W].
 
     Pipeline: layer norm -> q/k/v pointwise projections -> gather ->
-    grouped attention per window pair -> scatter -> pointwise mixer ->
-    residual add.  Returns M tensors shaped like the inputs.
+    grouped attention per window pair over the q batch, in place -> scatter ->
+    pointwise mixer -> residual add.  Returns M tensors shaped like the inputs.
     """
     modalities = len(features)
     shape = features[0].shape
@@ -322,17 +320,16 @@ def pwa_forward(
     vb = gather(vs, sched, params.n_head, params.c_hat)
     del qs, ks, vs
 
-    attended = np.empty_like(qb)
     offset = 0
     for i, n_i in enumerate(sched.window_counts()):
         if meter is not None:
             meter.charge(n_i, modalities * sched.seq_len, params.channels)
         sl = slice(offset, offset + n_i)
-        attended[sl] = grouped_attention(qb[sl], kb[sl], vb[sl], params.pos_bias[i])
+        grouped_attention(qb[sl], kb[sl], vb[sl], params.pos_bias[i])
         offset += n_i
-    del qb, kb, vb
+    del kb, vb
 
-    scattered = scatter(attended, sched, params.n_head, params.c_hat, modalities)
+    scattered = scatter(qb, sched, params.n_head, params.c_hat, modalities)
     return [e + pointwise_conv(a, params.mixer) for e, a in zip(features, scattered)]
 
 

@@ -138,6 +138,20 @@ def _checked_teachers(channels: int, teachers) -> list:
     return checked
 
 
+def _teacher_pass(d_seg: np.ndarray, teachers):
+    """(seg matrix, sum w*||G_t - G_s||^2, sum w*(G_s - G_t)): the seg Gram, then each teacher's once."""
+    m = _as_matrix(d_seg)
+    checked = _checked_teachers(m.shape[0], teachers)
+    g_seg = gram(d_seg)
+    loss = 0.0
+    acc = np.zeros_like(g_seg)
+    for feat, weight in checked:
+        gap = gram(feat) - g_seg
+        loss += weight * float(np.sum(gap * gap))
+        acc -= weight * gap
+    return m, loss, acc
+
+
 def sdkt_loss(d_seg: np.ndarray, teachers) -> float:
     """Weighted squared-Frobenius gap between teacher Grams and the seg Gram.
 
@@ -145,13 +159,7 @@ def sdkt_loss(d_seg: np.ndarray, teachers) -> float:
     differ across tensors (the Gram is spatially invariant) but channel counts
     must match.  Non-negative; zero iff every teacher Gram equals the seg Gram.
     """
-    checked = _checked_teachers(_as_matrix(d_seg).shape[0], teachers)
-    g_seg = gram(d_seg)
-    total = 0.0
-    for feat, weight in checked:
-        diff = gram(feat) - g_seg
-        total += weight * float(np.sum(diff * diff))
-    return total
+    return _teacher_pass(d_seg, teachers)[1]
 
 
 def sdkt_grad(d_seg: np.ndarray, teachers) -> np.ndarray:
@@ -160,16 +168,10 @@ def sdkt_grad(d_seg: np.ndarray, teachers) -> np.ndarray:
     d/dX || X X^T / n - G ||_F^2 = (4 / n) (X X^T / n - G) X  with
     n = C * volume, summed over teachers with their weights.
     """
-    x = np.asarray(d_seg)
-    m = _as_matrix(x)
-    checked = _checked_teachers(m.shape[0], teachers)
-    g_seg = gram(x)
-    acc = np.zeros_like(g_seg)
-    for feat, weight in checked:
-        acc += weight * (g_seg - gram(feat))
+    m, _, acc = _teacher_pass(d_seg, teachers)
     grad = acc @ m
     grad *= 4.0 / m.size
-    return grad.reshape(x.shape)
+    return grad.reshape(np.shape(d_seg))
 
 
 def mmd_poly2(x: np.ndarray, y: np.ndarray) -> float:

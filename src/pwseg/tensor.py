@@ -9,9 +9,10 @@ such tensors; the rank-5 [modality, channel, D, H, W] array is only the
 ``.vxs`` file layout (:mod:`pwseg.volume_io`).  Every operation here
 except :func:`softmax_rows` and :func:`gelu` is a pure function of its
 inputs; outputs are freshly allocated arrays, never views into mutable
-state.  ``softmax_rows`` and ``gelu`` overwrite their argument with the
-result and return it, so attention keeps one logits buffer per chunk and
-each GELU runs in the buffer its caller just made.
+state.  The in-place kernels ``softmax_rows``, ``gelu`` and ``pwa.grouped_attention``
+(over its q) overwrite their argument with the result and return it, so attention
+keeps one logits buffer per chunk and three sequence batches per layer, and each
+GELU runs in the buffer its caller just made.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def param_count(obj) -> int:
 
 
 def conv3d(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Grouped 3D convolution, stride 1, zero same-padding.
+    """Grouped 3D convolution, stride 1, zero same-padding, computed and returned in ``DTYPE``.
 
     Output spatial dims equal input's.  Within group g, output channels of
     group g read only input channels of group g.
@@ -188,7 +189,7 @@ def conv3d(x: np.ndarray, p: ConvParams) -> np.ndarray:
         xp = np.zeros((c_in, d + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=DTYPE)
         xp[:, pad : pad + d, pad : pad + h, pad : pad + w] = x
     else:
-        xp = x
+        xp = x.astype(DTYPE, copy=False)
     n = d * h * w
     # [groups, C_out/g, C_in/g, k, k, k]: each tap is one stacked matmul over all groups
     wg = p.weight.reshape(g, p.c_out // g, c_in // g, k, k, k)

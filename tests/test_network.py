@@ -3,14 +3,14 @@
 import json
 import re
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from math import ceil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pwseg import network
+from pwseg import jlc, network, pwa, tensor
 from pwseg.analysis import config_digest
 from pwseg.errors import ConfigError, DomainError, NonFiniteError, ScheduleError, ShapeError
 from pwseg.network import (
@@ -26,7 +26,7 @@ from pwseg.network import (
     total_flops,
 )
 from pwseg.pwa import pwa_flops
-from pwseg.tensor import ConvParams, param_arrays, pointwise_conv, voxel_shuffle
+from pwseg.tensor import ConvParams, conv3d, param_arrays, pointwise_conv, voxel_shuffle
 
 SMALL = NetworkConfig(input_extent=(32, 32, 32), conv_depth=(1, 1, 1, 1))
 
@@ -370,6 +370,27 @@ class TestFastPaths:
             downsample_conv(np.zeros(shape, dtype=np.float32), p)
 
 
+class TestConvDtype:
+    """Both conv kernels compute and return DTYPE: a float64 input gives the call on its float32 rounding."""
+
+    @pytest.mark.parametrize("kernel, stride", [(1, 1), (3, 1), (5, 1), (2, 2)],
+                             ids=["k1", "k3", "k5", "patchify_s2"])
+    def test_float64_input_equals_rounded_input(self, kernel, stride):
+        rng = np.random.default_rng(kernel * 7 + stride)
+        groups = 2 if stride == 1 else 1
+        p = ConvParams(
+            weight=rng.standard_normal((4, 6 // groups, kernel, kernel, kernel)).astype(np.float32),
+            bias=rng.standard_normal(4).astype(np.float32),
+            groups=groups,
+            stride=stride,
+        )
+        x64 = rng.standard_normal((6, 6, 8, 4))
+        conv = conv3d if stride == 1 else downsample_conv
+        got = conv(x64, p)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, conv(x64.astype(np.float32), p))
+
+
 class TestCounting:
     @pytest.mark.parametrize(
         "cfg",
@@ -523,6 +544,74 @@ class TestWalk:
             flop_breakdown(build(WALK_BASE, seed=3), ())
         with pytest.raises(ShapeError, match="triple"):
             attention_stage_flops(WALK_BASE, ())
+
+
+def float64_params(obj):
+    """``obj`` with every parameter dataclass remade and every array as float64; configs untouched."""
+    if isinstance(obj, np.ndarray):
+        return obj.astype(np.float64)
+    if isinstance(obj, tuple):
+        return tuple(float64_params(item) for item in obj)
+    if is_dataclass(obj) and not isinstance(obj, NetworkConfig):
+        return replace(obj, **{f.name: float64_params(getattr(obj, f.name)) for f in fields(obj)})
+    return obj
+
+
+TWIN_MODULES = (tensor, network, jlc, pwa)
+# Array kernels the forward calls through network, jlc and pwa; the twin checks each one's output.
+TWIN_KERNELS = ("conv3d", "pointwise_conv", "downsample_conv", "layer_norm", "instance_norm", "gelu",
+                "max_pool3", "softmax_rows", "voxel_shuffle", "gather", "grouped_attention", "scatter",
+                "jlc_forward", "pwa_forward")
+
+
+def float64_only(name, fn):
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        for a in out if isinstance(out, list) else [out]:
+            assert a.dtype == np.float64, f"{name} returned {a.dtype} in the float64 twin"
+        return out
+
+    return wrapper
+
+
+def float64_twin_logits(net, vols):
+    """Logits of ``net``'s float64 twin: ``DTYPE`` is float64 in every engine module while the
+    twin is made and run, then restored.  Every kernel output must be float64: a kernel that
+    bound ``DTYPE`` early would otherwise be hidden by the next conv, which rounds to ``DTYPE``."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in TWIN_MODULES:
+            mp.setattr(module, "DTYPE", np.float64)
+            for name in TWIN_KERNELS:
+                if module is not tensor and hasattr(module, name):
+                    mp.setattr(module, name, float64_only(name, getattr(module, name)))
+        twin = float64_params(net)
+        assert all(a.dtype == np.float64 for a in param_arrays(twin))
+        logits = forward(twin, vols)
+    assert logits.dtype == np.float64
+    assert all(module.DTYPE is np.float32 for module in TWIN_MODULES)
+    return logits
+
+
+class TestFloat64Twin:
+    """The float32 forward against its float64 twin: the rounding reference for paths that change rounding."""
+
+    @pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
+    def test_float32_error_below_ceiling(self, name):
+        """max|f32 - f64| / max|f64| stays below 2e-6.
+
+        Read when the twin was added: default 4.9e-7, m4 4.5e-7, m4_early_fusion 4.8e-7,
+        conv_only 6.7e-7, narrow_head 6.0e-7.
+        """
+        cfg = WALK_CONFIGS[name]
+        net = build(cfg, seed=3)
+        rng = np.random.default_rng(11)
+        vols = [rng.standard_normal((1, *cfg.input_extent), dtype=np.float32) for _ in range(cfg.modalities)]
+        before = forward(net, vols)
+        ref = float64_twin_logits(net, vols)
+        assert np.max(np.abs(before - ref)) / np.max(np.abs(ref)) < 2e-6
+        after = forward(net, vols)
+        assert after.dtype == np.float32
+        np.testing.assert_array_equal(after, before)
 
 
 # One payload of the wrong JSON kind per NetworkConfig field.

@@ -1,5 +1,6 @@
 """Paired-window attention tests: schedules, gather/scatter, attention, cost."""
 
+import copy
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -24,7 +25,7 @@ from pwseg.pwa import (
 )
 from pwseg.tensor import ConvParams, max_pool3, softmax_rows
 
-from test_tensor import window_merge, window_partition
+from test_tensor import NOT_OVERWRITABLE, window_merge, window_partition
 
 
 def random_params(rng, channels, sched, modalities, n_head=1, c_min=4, scale=0.5):
@@ -422,12 +423,12 @@ class TestAttentionChunks:
             return sink[-1]
 
         monkeypatch.setattr(pwa, "softmax_rows", recording_softmax)
-        whole = grouped_attention(q, k, v, bias)
+        whole = grouped_attention(q.copy(), k, v, bias)
         assert len(sink) == 1
         # four windows per chunk: chunks of 4, 4 and a remainder of 3
         monkeypatch.setattr(pwa, "_CHUNK_BUDGET", 4 * n_head * tokens * tokens)
         sink.clear()
-        chunked = grouped_attention(q, k, v, bias)
+        chunked = grouped_attention(q.copy(), k, v, bias)
 
         np.testing.assert_array_equal(whole, want)
         np.testing.assert_array_equal(chunked, whole)
@@ -447,6 +448,37 @@ class TestAttentionChunks:
         monkeypatch.setattr(pwa, "_CHUNK_BUDGET", windows_per_chunk * n_head * tokens * tokens)
         with pytest.raises(ShapeError, match="position bias shape"):
             grouped_attention(q, q, q, np.zeros(bias_shape, dtype=np.float32))
+
+
+class TestAttentionInPlace:
+    """grouped_attention writes the fresh-softmax result over q and returns q."""
+
+    @pytest.mark.parametrize("alias", ["none", "k_is_q", "v_is_q"])
+    @pytest.mark.parametrize("windows_per_chunk", [4, 11])
+    def test_matches_fresh_softmax_attention(self, monkeypatch, alias, windows_per_chunk):
+        """Returns q, bit for bit the fresh result, also when k or v is q and over several chunks."""
+        rng = np.random.default_rng(29)
+        n, n_head, c_hat, tokens = 11, 2, 3, 6
+        q, k, v = (rng.standard_normal((n, n_head, c_hat, tokens)).astype(np.float32) * 2 for _ in range(3))
+        bias = rng.standard_normal((tokens, tokens)).astype(np.float32)
+        if alias == "k_is_q":
+            k = q
+        elif alias == "v_is_q":
+            v = q
+        want, _ = fresh_softmax_attention(q.copy(), k.copy(), v.copy(), bias)
+        monkeypatch.setattr(pwa, "_CHUNK_BUDGET", windows_per_chunk * n_head * tokens * tokens)
+        got = grouped_attention(q, k, v, bias)
+        assert got is q
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("make", ["int", "read_only", "none"])
+    def test_refused_before_writing(self, make):
+        q = NOT_OVERWRITABLE[make](np.arange(2 * 1 * 3 * 4, dtype=np.float32).reshape(2, 1, 3, 4))
+        kv = np.ones((2, 1, 3, 4), dtype=np.float32)
+        before = copy.copy(q)
+        with pytest.raises(ShapeError, match="grouped_attention needs a writeable float q"):
+            grouped_attention(q, kv, kv, np.zeros((4, 4), dtype=np.float32))
+        np.testing.assert_array_equal(q, before)
 
 
 class TestPwaForward:
