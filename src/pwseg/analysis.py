@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .tensor import DTYPE, seeded_rng, spatial_triple
+from .tensor import DTYPE, POSITIVE, count, real, seeded_rng, spatial_triple
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,7 @@ class MadInput:
         l = self.grid[0] * self.grid[1] * self.grid[2]
         if w.shape != (l, l):
             raise ShapeError(f"weights shape {w.shape} != ({l}, {l}) for grid {self.grid}")
-        if not (math.isfinite(self.spacing) and self.spacing > 0):
-            raise DomainError(f"voxel spacing must be positive and finite, got {self.spacing}")
+        object.__setattr__(self, "spacing", real(self.spacing, "spacing", POSITIVE, DomainError))
         row_sums = w.sum(axis=1)
         # Written as "not (ok)" so that a NaN anywhere fails the check.
         if not (np.max(np.abs(row_sums - 1.0)) <= 1e-3):
@@ -128,10 +126,9 @@ def bench(cfg, threads: int = 1, iters: int = 10, warmup: int = 1, seed: int = 0
     """
     from .network import build, flop_breakdown, forward
 
-    if iters < 1 or warmup < 1:
-        raise DomainError("need at least one warmup and one measured iteration")
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
+    threads = count(threads, "threads", 1, DomainError)
+    iters = count(iters, "iters", 1, DomainError)
+    warmup = count(warmup, "warmup", 1, DomainError)
     net = build(cfg, seed=seed)
     rng = seeded_rng(seed + 1)
     extent = net.config.input_extent

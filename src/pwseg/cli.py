@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -118,16 +117,16 @@ def _cmd_forward(args) -> int:
 
 def _parse_teacher(spec: str):
     """``PATH[:WEIGHT]`` -> (path, weight); the weight must be a finite number >= 0."""
+    from .tensor import real
+
     if ":" not in spec:
         return spec, 1.0
     path, text = spec.rsplit(":", 1)
     try:
         weight = float(text)
     except ValueError:
-        weight = math.nan
-    if not (math.isfinite(weight) and weight >= 0):
-        raise DomainError(f"teacher {spec!r}: weight must be a finite number >= 0")
-    return path, weight
+        weight = text
+    return path, real(weight, f"teacher {spec!r} weight", 0, DomainError)
 
 
 def _cmd_sdkt_loss(args) -> int:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
+from .tensor import POSITIVE, count, real
 
 MEDICAL3D_VOLUME_RATIOS = (4**3, 8**3, 16**3, 32**3)
 NATURAL2D_VOLUME_RATIOS = (1**2, 2**2, 4**2, 8**2)
@@ -46,13 +47,9 @@ def group_size_bound(modalities: int, volume_ratio: int, alpha: float) -> float:
 
     Monotone nondecreasing in every argument and exactly linear in alpha.
     """
-    if modalities < 1:
-        raise DomainError(f"modalities must be >= 1, got {modalities}")
-    if volume_ratio < 1:
-        raise DomainError(f"volume_ratio must be >= 1, got {volume_ratio}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    return alpha * math.log(modalities * volume_ratio)
+    modalities = count(modalities, "modalities", 1, DomainError)
+    volume_ratio = count(volume_ratio, "volume_ratio", 1, DomainError)
+    return real(alpha, "alpha", POSITIVE, DomainError) * math.log(modalities * volume_ratio)
 
 
 def plan_stages(modalities: int, n: int = 4, alpha: float = 1.0, profile: str = "medical3d") -> GroupPlan:
@@ -62,9 +59,10 @@ def plan_stages(modalities: int, n: int = 4, alpha: float = 1.0, profile: str = 
     for audit, and the rounding rule that gives the published sizes in base
     units of ``n``.
     """
-    if n <= 0:
-        raise DomainError(f"base unit n must be positive, got {n}")
-    if profile not in _PROFILES:
+    modalities = count(modalities, "modalities", 1, DomainError)
+    n = count(n, "base unit n", 1, DomainError)
+    alpha = real(alpha, "alpha", POSITIVE, DomainError)
+    if not (isinstance(profile, str) and profile in _PROFILES):
         raise ConfigError(f"unknown profile {profile!r}; expected one of {sorted(_PROFILES)}")
     ratios, units = _PROFILES[profile]
     raw = tuple(group_size_bound(modalities, v, alpha) for v in ratios)
@@ -86,7 +84,8 @@ def head_channels(channels: int, c_min: int, n_win: int, n_head: int) -> int:
     Returns hat_C = c_min * ceil(channels / (c_min * n_win * n_head)), i.e. the
     least m in {c_min, 2*c_min, ...} with n_win * n_head * m >= channels.
     """
-    for name, value in (("channels", channels), ("c_min", c_min), ("n_win", n_win), ("n_head", n_head)):
-        if not value >= 1:
-            raise DomainError(f"{name} must be >= 1, got {value}")
+    channels, c_min, n_win, n_head = (
+        count(value, name, 1, DomainError)
+        for name, value in (("channels", channels), ("c_min", c_min), ("n_win", n_win), ("n_head", n_head))
+    )
     return c_min * math.ceil(channels / (c_min * n_win * n_head))

@@ -18,6 +18,7 @@ from .tensor import (
     DTYPE,
     ConvParams,
     conv3d,
+    count,
     gelu,
     init_conv,
     instance_norm,
@@ -33,8 +34,9 @@ def branch_channel_split(channels: int, group_size: int, n_branches: int = 3) ->
     The split is as even as the group-size granularity allows; leftover units
     go to the earlier (smaller-kernel) branches.
     """
-    if group_size <= 0:
-        raise ConfigError(f"group size must be positive, got {group_size}")
+    channels = count(channels, "channels", 1, ConfigError)
+    group_size = count(group_size, "group_size", 1, ConfigError)
+    n_branches = count(n_branches, "n_branches", 1, ConfigError)
     if channels % group_size != 0:
         raise ConfigError(f"group size {group_size} does not divide {channels} channels")
     units = channels // group_size

@@ -35,6 +35,7 @@ from .tensor import (
     DTYPE,
     SPATIAL_AXES,
     ConvParams,
+    count,
     gelu,
     init_conv,
     is_integral,
@@ -83,14 +84,9 @@ class NetworkConfig:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _coerce(f.name, getattr(self, f.name), f.default))
-        if self.modalities < 1:
-            raise ConfigError(f"modalities must be >= 1, got {self.modalities}")
-        if self.num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.c_min < 1 or self.head_width < 1 or self.decoder_depth < 1:
-            raise ConfigError("c_min, head_width and decoder_depth must all be >= 1")
-        if self.patch_stride < 2:
-            raise ConfigError(f"patch stride must be >= 2, got {self.patch_stride}")
+        for name, minimum in (("modalities", 1), ("num_classes", 1), ("c_min", 1), ("head_width", 1),
+                              ("decoder_depth", 1), ("patch_stride", 2)):
+            count(getattr(self, name), name, minimum, ConfigError)
         for name in ("stage_widths", "group_sizes", "attention_depth", "conv_depth", "expansion_ratios",
                      "n_head", "big_window_minima", "small_window_minima"):
             if len(getattr(self, name)) != N_STAGES:
@@ -102,10 +98,8 @@ class NetworkConfig:
                 branch_channel_split(self.stage_widths[k], self.group_sizes[k], len(self.kernels))
             except ConfigError as exc:
                 raise ConfigError(f"stage {k + 1}: {exc}") from exc
-            if self.expansion_ratios[k] < 1 or self.n_head[k] < 1:
-                raise ConfigError(f"stage {k + 1}: expansion ratio and head count must be >= 1")
-            if self.attention_depth[k] < 0 or self.conv_depth[k] < 0:
-                raise ConfigError(f"stage {k + 1}: block depths must be non-negative")
+            for name, minimum in (("expansion_ratios", 1), ("n_head", 1), ("attention_depth", 0), ("conv_depth", 0)):
+                count(getattr(self, name)[k], f"stage {k + 1}: {name} entry", minimum, ConfigError)
             for name in ("big_window_minima", "small_window_minima"):
                 entry = getattr(self, name)[k]
                 if len(entry) != 3:

@@ -17,13 +17,14 @@ from math import prod
 
 import numpy as np
 
-from .errors import ConfigError, ScheduleError, ShapeError
+from .errors import ConfigError, DomainError, ScheduleError, ShapeError
 from .jl import head_channels
 from .tensor import (
     DTYPE,
     SPATIAL_AXES,
     ConvParams,
     _overwritable,
+    count,
     init_conv,
     layer_norm,
     max_pool3,
@@ -69,11 +70,6 @@ class WindowSchedule:
         )
 
 
-def _check_rate(r: int) -> None:
-    if r < 2:
-        raise ScheduleError(f"expansion rate must be >= 2, got {r}")
-
-
 def window_schedule(extent, big1, small1=(1, 1, 1), r: int = 2) -> WindowSchedule:
     """Build the pair list for ``extent`` from the smallest pair (big1, small1).
 
@@ -83,7 +79,7 @@ def window_schedule(extent, big1, small1=(1, 1, 1), r: int = 2) -> WindowSchedul
     extent = spatial_triple(extent, "extent")
     big1 = spatial_triple(big1, "big1")
     small1 = spatial_triple(small1, "small1")
-    _check_rate(r)
+    r = count(r, "expansion rate r", 2, ScheduleError)
     steps = set()
     for axis, e, b, s in zip(SPATIAL_AXES, extent, big1, small1):
         if s <= 0 or b <= 0 or e <= 0:
@@ -123,7 +119,7 @@ def fit_big_window(extent, minimum, r: int = 2) -> tuple[int, int, int]:
     extent on axes smaller than the requested minimum.  Raises ScheduleError
     for a rate below 2, where no schedule expands.
     """
-    _check_rate(r)
+    r = count(r, "expansion rate r", 2, ScheduleError)
     extent = spatial_triple(extent, "extent")
     minimum = spatial_triple(minimum, "minimum")
     best = []
@@ -345,6 +341,8 @@ def pwa_flops(extent, sched: WindowSchedule, channels: int, modalities: int = 1)
     extent = spatial_triple(extent, "extent")
     if extent != sched.extent:
         raise ShapeError(f"extent {extent} != schedule extent {sched.extent}")
+    channels = count(channels, "channels", 1, DomainError)
+    modalities = count(modalities, "modalities", 1, DomainError)
     n_vol = prod(extent)
     big1, small1 = sched.pairs[0]
     b = prod(big1)

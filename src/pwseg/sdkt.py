@@ -10,12 +10,10 @@ counts this objective is exactly MMD^2 with the kernel (u^T v)^2 scaled by
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .tensor import real
 
 # Per float type the Gram computes in: how many channels one 64-bit key word
 # holds, and the mask that keeps their sign and mantissa bits.  The exponents
@@ -120,7 +118,7 @@ def gram(x: np.ndarray) -> np.ndarray:
 def _checked_teachers(channels: int, teachers) -> list:
     """(feature tensor, float weight) per teacher, once every entry's form, rank, channels and weight pass.
 
-    A weight is a real number, not a bool, as ``SyntheticSpec``'s knobs are.
+    A weight is a :func:`~pwseg.tensor.real` number >= 0, as ``SyntheticSpec``'s knobs are.
     The callers make no Gram before this returns, so a bad teacher costs none.
     """
     checked = []
@@ -131,10 +129,7 @@ def _checked_teachers(channels: int, teachers) -> list:
         c = _as_matrix(feat).shape[0]
         if c != channels:
             raise ShapeError(f"teacher {t} has {c} channels, segmentation features have {channels}")
-        real = isinstance(weight, numbers.Real) and not isinstance(weight, bool)
-        if not (real and math.isfinite(weight) and weight >= 0):
-            raise DomainError(f"teacher {t} has weight {weight!r}; it must be a finite number >= 0")
-        checked.append((feat, float(weight)))
+        checked.append((feat, real(weight, f"teacher {t} weight", 0, DomainError)))
     return checked
 
 

@@ -13,12 +13,16 @@ state.  The in-place kernels ``softmax_rows``, ``gelu`` and ``pwa.grouped_attent
 (over its q) overwrite their argument with the result and return it, so attention
 keeps one logits buffer per chunk and three sequence batches per layer, and each
 GELU runs in the buffer its caller just made.
+
+The argument parsers live here too: :func:`spatial_triple` for (D, H, W) triples,
+:func:`count` for counts and :func:`real` for real scalars.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -37,11 +41,32 @@ def is_integral(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+# The least positive float: a :func:`real` minimum of POSITIVE admits exactly the values > 0.
+POSITIVE = math.ulp(0.0)
+
+
+def _at_least(minimum) -> str:
+    return {-math.inf: "", POSITIVE: " > 0"}.get(minimum, f" >= {minimum:g}")
+
+
+def count(value, what: str, minimum: int, error: type) -> int:
+    """``value`` as an int; ``error`` naming ``what`` unless it is an :func:`is_integral` number >= ``minimum``."""
+    if not (is_integral(value) and value >= minimum):
+        raise error(f"{what} must be an integer{_at_least(minimum)}, got {value!r}")
+    return int(value)
+
+
+def real(value, what: str, minimum: float, error: type) -> float:
+    """``value`` as a float; ``error`` naming ``what`` unless it is a finite real, not a bool, >= ``minimum``."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (ok and math.isfinite(value) and value >= minimum):
+        raise error(f"{what} must be a finite real number{_at_least(minimum)}, got {value!r}")
+    return float(value)
+
+
 def seeded_rng(seed) -> np.random.Generator:
     """``np.random.default_rng(seed)``; DomainError naming the seed unless it is an integer >= 0."""
-    if not (is_integral(seed) and seed >= 0):
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(count(seed, "seed", 0, DomainError))
 
 
 def spatial_triple(triple, what: str) -> tuple[int, int, int]:
@@ -95,14 +120,12 @@ class ConvParams:
             raise ConfigError(f"conv weight must be rank 5, got rank {w.ndim}")
         if not (w.shape[2] == w.shape[3] == w.shape[4]):
             raise ConfigError(f"conv kernel must be cubic, got {w.shape[2:]}")
-        if self.stride < 1:
-            raise ConfigError(f"conv stride must be >= 1, got {self.stride}")
+        object.__setattr__(self, "stride", count(self.stride, "conv stride", 1, ConfigError))
+        object.__setattr__(self, "groups", count(self.groups, "conv groups", 1, ConfigError))
         if self.stride == 1 and self.kernel % 2 == 0:
             raise ConfigError(f"conv kernel must be odd for same padding, got {self.kernel}")
         if self.stride > 1 and self.kernel != self.stride:
             raise ConfigError(f"strided conv needs kernel == stride {self.stride}, got kernel {self.kernel}")
-        if self.groups <= 0:
-            raise ConfigError(f"groups must be positive, got {self.groups}")
         if self.c_out % self.groups != 0:
             raise ConfigError(f"output channels {self.c_out} not divisible by groups {self.groups}")
         if self.bias is not None:

@@ -10,8 +10,6 @@ Files are little-endian and padding-free so they are byte-portable:
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -26,7 +24,7 @@ from .errors import (
     UnsupportedVersionError,
     VolumeFormatError,
 )
-from .tensor import DTYPE, SPATIAL_AXES, is_integral, require_finite, seeded_rng, spatial_triple
+from .tensor import DTYPE, POSITIVE, SPATIAL_AXES, count, real, require_finite, seeded_rng, spatial_triple
 
 MAGIC = b"VXSG"
 VERSION = 1
@@ -95,30 +93,16 @@ class SyntheticSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "extent", spatial_triple(self.extent, "extent"))
-        for name in ("modalities", "blob_count"):
-            value = getattr(self, name)
-            if not is_integral(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in ("blob_radius", "blob_intensity", "noise_sigma"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        for name, minimum in (("modalities", 1), ("blob_count", 0)):
+            object.__setattr__(self, name, count(getattr(self, name), name, minimum, ConfigError))
+        for name, minimum in (("blob_radius", POSITIVE), ("blob_intensity", -np.inf), ("noise_sigma", 0)):
+            object.__setattr__(self, name, real(getattr(self, name), name, minimum, ConfigError))
         for axis, e in zip(SPATIAL_AXES, self.extent):
             if e <= 0 or e % 32 != 0:
                 raise ConfigError(f"{axis} extent {e} must be a positive multiple of 32")
-        if self.modalities < 1:
-            raise ConfigError(f"modalities must be >= 1, got {self.modalities}")
-        if self.blob_count < 0:
-            raise ConfigError(f"blob_count must be >= 0, got {self.blob_count}")
         half = min(self.extent) / 2
-        if not (math.isfinite(self.blob_radius) and 0 < self.blob_radius <= half):
-            raise ConfigError(f"blob_radius must lie in (0, {half}], got {self.blob_radius}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not math.isfinite(self.blob_intensity):
-            raise ConfigError(f"blob_intensity must be finite, got {self.blob_intensity}")
+        if self.blob_radius > half:
+            raise ConfigError(f"blob_radius must lie in (0, {half}], got {self.blob_radius!r}")
 
 
 def gen_synthetic(spec: SyntheticSpec, seed: int):

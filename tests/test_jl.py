@@ -121,5 +121,5 @@ class TestHeadChannels:
     def test_domain(self):
         with pytest.raises(DomainError):
             head_channels(0, 8, 1, 1)
-        with pytest.raises(DomainError, match="channels must be >= 1, got nan"):
+        with pytest.raises(DomainError, match="channels must be an integer >= 1, got nan"):
             head_channels(float("nan"), 8, 1, 1)

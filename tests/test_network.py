@@ -85,21 +85,21 @@ def symbolic_param_count(cfg: NetworkConfig) -> int:
 
 # (field, invalid value, what the ConfigError message must contain) for each NetworkConfig range rule.
 INVALID_FIELDS = [
-    ("modalities", 0, "modalities must be >= 1, got 0"),
-    ("num_classes", 0, "num_classes must be >= 1, got 0"),
-    ("c_min", 0, "c_min"),
-    ("head_width", 0, "head_width"),
-    ("decoder_depth", 0, "decoder_depth"),
-    ("patch_stride", 1, "patch stride must be >= 2, got 1"),
+    ("modalities", 0, "modalities must be an integer >= 1, got 0"),
+    ("num_classes", 0, "num_classes must be an integer >= 1, got 0"),
+    ("c_min", 0, "c_min must be an integer >= 1, got 0"),
+    ("head_width", 0, "head_width must be an integer >= 1, got 0"),
+    ("decoder_depth", 0, "decoder_depth must be an integer >= 1, got 0"),
+    ("patch_stride", 1, "patch_stride must be an integer >= 2, got 1"),
     ("stage_widths", (16, 32, 64), "stage_widths must have 4 entries, got 3"),
     ("stage_widths", (16, 32), "stage_widths must have 4 entries, got 2"),
     ("group_sizes", (4, 8, 7, 16), "stage 3: group size 7 does not divide 64 channels"),
     ("kernels", (1, 2, 3), r"kernels must be odd positive sizes, got \(1, 2, 3\)"),
     ("kernels", (-1, 3), r"kernels must be odd positive sizes, got \(-1, 3\)"),
-    ("expansion_ratios", (3, 0, 2, 2), "stage 2: expansion ratio"),
-    ("n_head", (1, 1, 0, 1), "stage 3: .*head count"),
-    ("attention_depth", (1, -1, 1, 1), "stage 2: block depths must be non-negative"),
-    ("conv_depth", (1, 1, 1, -2), "stage 4: block depths must be non-negative"),
+    ("expansion_ratios", (3, 0, 2, 2), "stage 2: expansion_ratios entry must be an integer >= 1, got 0"),
+    ("n_head", (1, 1, 0, 1), "stage 3: n_head entry must be an integer >= 1, got 0"),
+    ("attention_depth", (1, -1, 1, 1), "stage 2: attention_depth entry must be an integer >= 0, got -1"),
+    ("conv_depth", (1, 1, 1, -2), "stage 4: conv_depth entry must be an integer >= 0, got -2"),
 ]
 
 
@@ -140,7 +140,7 @@ class TestBuild:
 
     def test_rate_error_names_stage(self):
         """The rate rule comes from ``window_schedule``, wrapped as a ConfigError."""
-        with pytest.raises(ConfigError, match="stage 1: .*expansion rate must be >= 2"):
+        with pytest.raises(ConfigError, match="stage 1: .*expansion rate r must be an integer >= 2, got 1"):
             build(replace(SMALL, r=1), seed=0)
 
     def test_bad_extent_rejected(self):
@@ -429,7 +429,7 @@ class TestCounting:
 
     def test_rate_below_two_fails_fast(self):
         """A config with r=1 cannot be made, so neither the cost model nor the schedule meets one."""
-        with pytest.raises(ConfigError, match="stage 1: .*expansion rate must be >= 2") as caught:
+        with pytest.raises(ConfigError, match="stage 1: .*expansion rate r must be an integer >= 2, got 1") as caught:
             NetworkConfig(r=1)
         assert isinstance(caught.value.__cause__, ScheduleError)
 

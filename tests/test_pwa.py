@@ -289,7 +289,7 @@ class TestWindowSchedule:
     @pytest.mark.parametrize("r", [1, 0])
     def test_fit_big_window_rejects_rate_below_two(self, r):
         """No window expands at r < 2; the search would loop forever at r=1."""
-        with pytest.raises(ScheduleError, match=f"expansion rate must be >= 2, got {r}"):
+        with pytest.raises(ScheduleError, match=f"expansion rate r must be an integer >= 2, got {r}"):
             fit_big_window((24, 24, 24), (3, 3, 3), r)
 
 

@@ -466,7 +466,8 @@ class TestTeacherWeights:
     def test_rejected_naming_teacher(self, monkeypatch, fn, weight):
         x = np.random.default_rng(12).standard_normal((3, 10))
         grams = count_grams(monkeypatch)
-        with pytest.raises(DomainError, match="teacher 1 has weight"):
+        message = f"teacher 1 weight must be a finite real number >= 0, got {weight!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
             fn(x, [(x, 1.0), (2 * x, weight)])
         assert grams == []
 

@@ -317,7 +317,7 @@ class TestConv3d:
         [
             ((2, 2, 1, 1), {}, "rank 5, got rank 4"),
             ((2, 2, 1, 3, 3), {}, r"cubic, got \(1, 3, 3\)"),
-            ((2, 2, 1, 1, 1), {"groups": 0}, "groups must be positive, got 0"),
+            ((2, 2, 1, 1, 1), {"groups": 0}, "conv groups must be an integer >= 1, got 0"),
             ((3, 1, 1, 1, 1), {"groups": 2}, "output channels 3 not divisible by groups 2"),
             ((2, 2, 1, 1, 1), {"bias": np.zeros(3)}, r"bias shape \(3,\) != \(2,\)"),
         ],
