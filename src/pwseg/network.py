@@ -302,8 +302,11 @@ def build(cfg: NetworkConfig, seed: int) -> Network:
 
     Weights are truncated-normal (sigma 0.02), biases zero, norm scales one;
     building twice with the same seed yields identical parameters.  ``cfg``
-    checked itself when it was made; DomainError unless ``seed`` is an integer >= 0.
+    checked itself when it was made; ConfigError unless it is a ``NetworkConfig``,
+    DomainError unless ``seed`` is an integer >= 0.
     """
+    if not isinstance(cfg, NetworkConfig):
+        raise ConfigError(f"build needs a NetworkConfig, got {type(cfg).__name__}")
     rng = seeded_rng(seed)
     widths = cfg.stage_widths
     c1 = widths[0]

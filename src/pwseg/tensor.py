@@ -105,7 +105,8 @@ class ConvParams:
     stride s > 1 the kernel equals s and the conv is a non-overlapping
     patchify (``network.downsample_conv``).  ``groups`` is the number of
     channel groups (torch convention: group g's output channels read only
-    group g's input channels).
+    group g's input channels).  Weights and bias must be finite, so a
+    padding-only tap that :func:`conv3d` skips would have added only zeros.
     """
 
     weight: np.ndarray
@@ -133,6 +134,9 @@ class ConvParams:
             object.__setattr__(self, "bias", b)
             if b.shape != (self.c_out,):
                 raise ConfigError(f"bias shape {b.shape} != ({self.c_out},)")
+        for name, arr in (("weight", w), ("bias", self.bias)):
+            if arr is not None and not np.isfinite(arr).all():
+                raise ConfigError(f"conv {name} contains non-finite values")
 
     @property
     def c_out(self) -> int:
@@ -193,11 +197,25 @@ def param_count(obj) -> int:
     return sum(a.size for a in param_arrays(obj))
 
 
+def _live_taps(k: int, extent: int) -> range:
+    """The taps of a same-padded kernel k along an axis of ``extent`` that reach data, not only padding."""
+    p = k // 2
+    return range(max(0, p - extent + 1), min(k, p + extent))
+
+
 def conv3d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Grouped 3D convolution, stride 1, zero same-padding, computed and returned in ``DTYPE``.
 
     Output spatial dims equal input's.  Within group g, output channels of
-    group g read only input channels of group g.
+    group g read only input channels of group g.  k = 1 is one stacked
+    matmul over all groups.  For k > 1 the input is padded once, with a
+    spare zero plane, and outputs are computed on the padded (H, W) grid,
+    where tap (dz, dy, dx) is the flat column window at offset
+    (dz·Hp + dy)·Wp + dx.  The live x taps are copied once, side by side,
+    so each live (dz, dy) tap is one stacked matmul whose inner dimension
+    runs over (input channel, x tap); the crop to (H, W) comes last.  Taps
+    that see only padding are skipped, which is exact because
+    ``ConvParams`` holds finite weights.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv3d input must be rank 4 [C, D, H, W], got rank {x.ndim}")
@@ -207,22 +225,36 @@ def conv3d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     if c_in != p.c_in:
         raise ConfigError(f"input has {c_in} channels, conv expects {p.c_in}")
     k, g = p.kernel, p.groups
-    if k > 1:
-        pad = k // 2
-        xp = np.zeros((c_in, d + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=DTYPE)
-        xp[:, pad : pad + d, pad : pad + h, pad : pad + w] = x
+    cog, cig = p.c_out // g, c_in // g
+    if k == 1:
+        out = np.empty((g, cog, d * h * w), dtype=DTYPE)
+        np.matmul(p.weight.reshape(g, cog, cig), x.astype(DTYPE, copy=False).reshape(g, cig, -1), out=out)
     else:
-        xp = x.astype(DTYPE, copy=False)
-    n = d * h * w
-    # [groups, C_out/g, C_in/g, k, k, k]: each tap is one stacked matmul over all groups
-    wg = p.weight.reshape(g, p.c_out // g, c_in // g, k, k, k)
-    out = np.empty((g, p.c_out // g, n), dtype=DTYPE)
-    for dz, dy, dx in itertools.product(range(k), repeat=3):
-        patch = xp[:, dz : dz + d, dy : dy + h, dx : dx + w].reshape(g, c_in // g, n)
-        if dz == dy == dx == 0:
-            np.matmul(wg[..., dz, dy, dx], patch, out=out)
-        else:
-            out += wg[..., dz, dy, dx] @ patch
+        pad = k // 2
+        hp, wp = h + 2 * pad, w + 2 * pad
+        xp = np.zeros((c_in, d + 2 * pad + 1, hp, wp), dtype=DTYPE)
+        xp[:, pad : pad + d, pad : pad + h, pad : pad + w] = x
+        flat = xp.reshape(c_in, -1)
+        tz, ty, tx = (_live_taps(k, e) for e in (d, h, w))
+        n = d * hp * wp
+        span = (tz[-1] * hp + ty[-1]) * wp + n
+        shifted = np.empty((c_in, len(tx), span), dtype=DTYPE)
+        for i, dx in enumerate(tx):
+            shifted[:, i] = flat[:, dx : dx + span]
+        cols = shifted.reshape(g, cig * len(tx), span)
+        # [k, k, groups, C_out/g, (C_in/g)·(live x taps)]: one weight matrix per (dz, dy) tap
+        wk = p.weight.reshape(g, cog, cig, k, k, k)[..., tx.start : tx.stop].transpose(3, 4, 0, 1, 2, 5)
+        wk = np.ascontiguousarray(wk).reshape(k, k, g, cog, cig * len(tx))
+        out = np.empty((g, cog, n), dtype=DTYPE)
+        tmp = np.empty_like(out)
+        for i, (dz, dy) in enumerate(itertools.product(tz, ty)):
+            off = (dz * hp + dy) * wp
+            window = cols[..., off : off + n]
+            if i == 0:
+                np.matmul(wk[dz, dy], window, out=out)
+            else:
+                out += np.matmul(wk[dz, dy], window, out=tmp)
+        out = np.ascontiguousarray(out.reshape(p.c_out, d, hp, wp)[:, :, :h, :w])
     out = out.reshape(p.c_out, d, h, w)
     if p.bias is not None:
         out += p.bias[:, None, None, None]

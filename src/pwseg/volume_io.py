@@ -11,6 +11,7 @@ Files are little-endian and padding-free so they are byte-portable:
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -40,12 +41,28 @@ def _as_tensor5(data) -> np.ndarray:
 
 
 def write(path, t: np.ndarray) -> None:
-    """Serialize a rank-5 tensor; read(write(t)) is bit-exact."""
+    """Serialize a rank-5 tensor; read(write(t)) is bit-exact.
+
+    An existing regular file is rewritten in place, not truncated first (on
+    ext4 a truncate makes the rewrite wait for the old blocks' writeback):
+    the header goes out with a zero magic, then the payload, then a longer
+    file is cut to its new size and the magic is written last, so ``read``
+    refuses a write that was interrupted.  Any other destination (a FIFO,
+    ``/dev/null``) gets the header, magic included, then the payload.  A
+    non-finite payload is refused before the file is opened.
+    """
     t = _as_tensor5(t)
     require_finite(t, "volume payload")
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, VERSION, *t.shape))
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        st = os.fstat(f.fileno())
+        regular = stat.S_ISREG(st.st_mode)
+        f.write(_HEADER.pack(bytes(len(MAGIC)) if regular else MAGIC, VERSION, *t.shape))
         f.write(t.astype("<f4", copy=False).data)  # no copy on a little-endian host
+        if regular:
+            if st.st_size > f.tell():
+                f.truncate()
+            f.seek(0)
+            f.write(MAGIC)
 
 
 def read(path) -> np.ndarray:

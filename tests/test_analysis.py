@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pwseg.analysis import BenchReport, MadInput, bench, dice, mad
-from pwseg.errors import DomainError, ShapeError
+from pwseg.errors import ConfigError, DomainError, ShapeError
 from pwseg.network import NetworkConfig, conv_only
 
 
@@ -287,6 +287,10 @@ class TestBench:
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(DomainError, match="threads"):
             bench(TINY, threads=threads, iters=1, warmup=1)
+
+    def test_not_a_config_rejected(self):
+        with pytest.raises(ConfigError, match="build needs a NetworkConfig, got dict"):
+            bench({"modalities": 2}, iters=1)
 
     def test_threaded_run(self):
         report = bench(TINY, threads=2, iters=2, warmup=1, seed=0)

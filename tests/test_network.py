@@ -27,6 +27,7 @@ from pwseg.network import (
 )
 from pwseg.pwa import pwa_flops
 from pwseg.tensor import ConvParams, conv3d, param_arrays, pointwise_conv, voxel_shuffle
+from test_tensor import per_group_conv3d
 
 SMALL = NetworkConfig(input_extent=(32, 32, 32), conv_depth=(1, 1, 1, 1))
 
@@ -129,6 +130,12 @@ class TestBuild:
         cfg = NetworkConfig(modalities=4, early_fusion=True)
         net = build(cfg, seed=0)
         assert param_count(net) > 0
+
+    @pytest.mark.parametrize("cfg", [{"modalities": 2}, None, "config.json"])
+    def test_not_a_config_rejected(self, cfg):
+        """Parsed JSON or anything else that is not a NetworkConfig is refused with its type named."""
+        with pytest.raises(ConfigError, match=f"build needs a NetworkConfig, got {type(cfg).__name__}"):
+            build(cfg, seed=0)
 
     def test_group_divisibility_error_names_stage(self):
         with pytest.raises(ConfigError, match="stage 3"):
@@ -612,6 +619,24 @@ class TestFloat64Twin:
         after = forward(net, vols)
         assert after.dtype == np.float32
         np.testing.assert_array_equal(after, before)
+
+
+class TestConvFoldGate:
+    """The network half of the two-precision gate for ``conv3d``'s x-tap fold: in float64 the
+    forward through ``conv3d`` and through the per-group tap loop it replaced agree, so only
+    rounding moved.  ``TestFloat64Twin`` bounds the float32 rounding itself."""
+
+    @pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
+    def test_float64_logits_match_per_group_conv(self, name, monkeypatch):
+        cfg = WALK_CONFIGS[name]
+        net = build(cfg, seed=3)
+        rng = np.random.default_rng(11)
+        vols = [rng.standard_normal((1, *cfg.input_extent), dtype=np.float32) for _ in range(cfg.modalities)]
+        folded = float64_twin_logits(net, vols)
+        for module in (tensor, jlc):
+            monkeypatch.setattr(module, "conv3d", per_group_conv3d)
+        tap_loop = float64_twin_logits(net, vols)
+        assert np.max(np.abs(folded - tap_loop)) <= 1e-12 * np.max(np.abs(tap_loop))
 
 
 # One payload of the wrong JSON kind per NetworkConfig field.

@@ -2,12 +2,14 @@
 
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pwseg import tensor
 from pwseg.errors import ConfigError, NonFiniteError, ShapeError
 from pwseg.tensor import (
     DTYPE,
@@ -55,32 +57,35 @@ def direct_conv3d(x, weight, bias, groups):
 
 
 def per_group_conv3d(x, p):
-    """The earlier conv3d: a separate 1x1x1 path and one tap loop per group.
+    """The earlier conv3d: a separate 1x1x1 path and one tap loop per group, every tap taken.
 
-    Kept as the oracle the single stacked tap loop must match bit for bit.
+    Computes in the dtype of ``p``'s weights, so it also runs as a float64
+    reference.  Kept as the oracle: k = 1 must match it bit for bit, and
+    k > 1 must pass the two-precision gate against it (:func:`assert_conv_gate`).
     """
     c_in, d, h, w = x.shape
     cig, cog = c_in // p.groups, p.c_out // p.groups
     n = d * h * w
     k = p.kernel
+    dt = p.weight.dtype
     if k == 1:
         flat = x.reshape(c_in, -1)
         if p.groups == 1:
             out = p.weight.reshape(p.c_out, c_in) @ flat
         else:
-            out = np.empty((p.c_out, n), dtype=np.float32)
+            out = np.empty((p.c_out, n), dtype=dt)
             for g in range(p.groups):
                 wg = p.weight[g * cog : (g + 1) * cog, :, 0, 0, 0]
                 out[g * cog : (g + 1) * cog] = wg @ flat[g * cig : (g + 1) * cig]
     else:
         pad = k // 2
-        xp = np.zeros((c_in, d + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+        xp = np.zeros((c_in, d + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=dt)
         xp[:, pad : pad + d, pad : pad + h, pad : pad + w] = x
-        out = np.empty((p.c_out, n), dtype=np.float32)
+        out = np.empty((p.c_out, n), dtype=dt)
         for g in range(p.groups):
             xg = xp[g * cig : (g + 1) * cig]
             wg = p.weight[g * cog : (g + 1) * cog]
-            acc = np.zeros((cog, n), dtype=np.float32)
+            acc = np.zeros((cog, n), dtype=dt)
             for dz in range(k):
                 for dy in range(k):
                     for dx in range(k):
@@ -327,6 +332,15 @@ class TestConv3d:
         with pytest.raises(ConfigError, match=message):
             ConvParams(weight=np.ones(shape, dtype=np.float32), **extra)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["weight", "bias"])
+    def test_non_finite_params_rejected(self, field, bad):
+        """A padding-only tap is skipped only because inf or NaN times the padding cannot occur."""
+        arrays = {"weight": np.ones((2, 1, 3, 3, 3), dtype=np.float32), "bias": np.zeros(2, dtype=np.float32)}
+        arrays[field].flat[0] = bad
+        with pytest.raises(ConfigError, match=f"conv {field} contains non-finite values"):
+            ConvParams(**arrays)
+
     def test_stride_below_one_rejected(self):
         with pytest.raises(ConfigError, match="stride"):
             ConvParams(weight=np.ones((2, 2, 1, 1, 1), dtype=np.float32), stride=0)
@@ -358,15 +372,89 @@ class TestConv3d:
         assert np.all(np.isfinite(conv3d(x, p)))
 
 
+# A float64 operand scaled by this lies off the float32 grid, so a float32 step inside a float64 run shows.
+OFF_GRID = 1 + 2.0**-30
+
+
+def float64_conv(conv, x, p, scale=1.0):
+    """``conv`` on float64 copies of ``x`` and ``p`` times ``scale``, with ``DTYPE`` float64 as
+    ``float64_twin_logits`` sets it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "DTYPE", np.float64)
+        p64 = replace(p, weight=p.weight.astype(np.float64) * scale,
+                      bias=None if p.bias is None else p.bias.astype(np.float64) * scale)
+        out = conv(np.asarray(x, dtype=np.float64) * scale, p64)
+    assert out.dtype == np.float64
+    return out
+
+
+def assert_conv_gate(x, p, reference=None):
+    """The two-precision gate of a conv whose summation order differs from the oracle's.
+
+    - float64: ``conv3d`` and :func:`per_group_conv3d` agree to 1e-12 relative
+      on operands off the float32 grid, so the algorithm is the oracle's.
+    - float32: ``conv3d``'s error against a float64 ``reference`` (the float64
+      oracle unless given) stays within the worst-case bound of a sum of
+      K = k³·(C_in/g) + 1 terms (the bias counts as one), K·2⁻²⁴ times the
+      float64 conv of |x| with |w| and |bias| (Higham 2002, §3.1).
+    """
+    k, cig = p.kernel, p.c_in // p.groups
+    got64 = float64_conv(conv3d, x, p, OFF_GRID)
+    want64 = float64_conv(per_group_conv3d, x, p, OFF_GRID)
+    assert np.max(np.abs(got64 - want64)) <= 1e-12 * np.max(np.abs(want64))
+    if reference is None:
+        reference = float64_conv(per_group_conv3d, x, p)
+    got = conv3d(x, p)
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    magnitude = float64_conv(
+        per_group_conv3d, np.abs(x), replace(p, weight=np.abs(p.weight), bias=None if p.bias is None else np.abs(p.bias))
+    )
+    bound = (k**3 * cig + 1) * 2.0**-24 * magnitude
+    error = np.abs(got - reference)
+    assert np.all(error <= bound), f"float32 error {np.max(error - bound):.3g} over the bound"
+
+
+def assert_matches_oracle(x, p):
+    """k = 1 is bit-identical to the oracle; k > 1 passes :func:`assert_conv_gate`."""
+    if p.kernel == 1:
+        np.testing.assert_array_equal(conv3d(x, p), per_group_conv3d(x, p))
+    else:
+        assert_conv_gate(x, p)
+
+
+def random_conv(rng, c_in, c_out, groups, k, bias=True):
+    return ConvParams(
+        weight=rng.standard_normal((c_out, c_in // groups, k, k, k)).astype(np.float32),
+        bias=rng.standard_normal(c_out).astype(np.float32) if bias else None,
+        groups=groups,
+    )
+
+
+# (C_in, C_out, groups, k, extent): k = 7, group sizes from 1 to dense, extents of 1-3
+# along one axis (so some taps see only padding), and anisotropic extents.
+GATE_CASES = [
+    (2, 2, 1, 7, (3, 4, 5)),
+    (4, 4, 4, 5, (1, 4, 4)),
+    (4, 2, 2, 5, (4, 2, 4)),
+    (2, 3, 1, 5, (4, 4, 3)),
+    (4, 4, 2, 3, (6, 1, 5)),
+    (3, 3, 3, 3, (7, 1, 3)),
+    (2, 2, 1, 7, (2, 6, 1)),
+    (4, 4, 1, 3, (2, 3, 7)),
+    (4, 4, 2, 5, (1, 1, 1)),
+]
+
+
 class TestConv3dMatchesPerGroupPath:
-    """The stacked tap loop is bit-identical to the per-group/1x1x1 oracle."""
+    """k = 1 is bit-identical to the per-group oracle; k > 1 folds the x taps into one
+    matmul per (dz, dy) tap, so its rounding moves and it passes the two-precision gate."""
 
     @settings(max_examples=40, deadline=None)
     @given(
         groups=st.integers(1, 4),
         cig=st.integers(1, 3),
         cog=st.integers(1, 3),
-        k=st.sampled_from([1, 3, 5]),
+        k=st.sampled_from([1, 3, 5, 7]),
         extent=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
         bias=st.booleans(),
         seed=st.integers(0, 2**16),
@@ -374,12 +462,7 @@ class TestConv3dMatchesPerGroupPath:
     def test_random_cases(self, groups, cig, cog, k, extent, bias, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((groups * cig, *extent)).astype(np.float32)
-        p = ConvParams(
-            weight=rng.standard_normal((groups * cog, cig, k, k, k)).astype(np.float32),
-            bias=rng.standard_normal(groups * cog).astype(np.float32) if bias else None,
-            groups=groups,
-        )
-        np.testing.assert_array_equal(conv3d(x, p), per_group_conv3d(x, p))
+        assert_matches_oracle(x, random_conv(rng, groups * cig, groups * cog, groups, k, bias))
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("groups", [1, 2, 8])
@@ -387,13 +470,20 @@ class TestConv3dMatchesPerGroupPath:
         """A 16-channel stage-like input, contiguous and as every other channel of a 32-channel tensor."""
         rng = np.random.default_rng(100 * k + groups)
         base = rng.standard_normal((32, 6, 5, 7)).astype(np.float32)
-        p = ConvParams(
-            weight=rng.standard_normal((16, 16 // groups, k, k, k)).astype(np.float32),
-            bias=rng.standard_normal(16).astype(np.float32),
-            groups=groups,
-        )
+        p = random_conv(rng, 16, 16, groups, k)
         for x in (base[:16], base[::2]):
-            np.testing.assert_array_equal(conv3d(x, p), per_group_conv3d(x, p))
+            assert_matches_oracle(x, p)
+
+    @pytest.mark.parametrize("case", GATE_CASES, ids=lambda c: f"c{c[0]}-g{c[2]}-k{c[3]}-{'x'.join(map(str, c[4]))}")
+    def test_gate_against_direct_oracle(self, case):
+        """The float32 error is taken against the brute-force float64 ``direct_conv3d``,
+        for a contiguous input and for a view strided along every axis."""
+        c_in, c_out, groups, k, extent = case
+        rng = np.random.default_rng(sum(extent) * k + groups)
+        p = random_conv(rng, c_in, c_out, groups, k)
+        base = rng.standard_normal((2 * c_in, *(2 * e for e in extent))).astype(np.float32)
+        for x in (np.ascontiguousarray(base[:c_in, ::2, ::2, ::2]), base[::2, ::2, 1::2, ::2]):
+            assert_conv_gate(x, p, reference=direct_conv3d(x, p.weight, p.bias, groups))
 
 
 def _read_only(a):

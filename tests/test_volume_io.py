@@ -1,7 +1,9 @@
 """Volume file format and synthetic-phantom generator tests."""
 
+import os
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from pwseg.errors import (
     UnsupportedVersionError,
     VolumeFormatError,
 )
+from pwseg import volume_io
 from pwseg.volume_io import SyntheticSpec, gen_synthetic, read, write
 
 
@@ -81,6 +84,85 @@ class TestFormat:
         t = np.full((1, 1, 1, 1, 1), np.nan, dtype=np.float32)
         with pytest.raises(ValueError):
             write(tmp_path / "nan.vxs", t)
+
+
+class PayloadWriteFails:
+    """A file whose second write, the payload's, raises: a write cut short after its header."""
+
+    def __init__(self, f):
+        self.f, self.writes = f, 0
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("no space left on device")
+        return self.f.write(data)
+
+
+def volume(seed, shape):
+    return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+
+
+class TestRewrite:
+    """``write`` rewrites an existing file in place, magic last, and reaches every destination it did."""
+
+    def test_longer_and_shorter_existing_files(self, tmp_path):
+        path = tmp_path / "vol.vxs"
+        small, large = volume(1, (1, 1, 2, 3, 4)), volume(2, (2, 1, 4, 4, 4))
+        write(path, large)
+        inode = path.stat().st_ino
+        for t in (small, large, small):
+            write(path, t)
+            np.testing.assert_array_equal(read(path), t)
+            assert path.stat().st_size == 28 + t.nbytes
+        assert path.stat().st_ino == inode
+
+    def test_non_finite_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "vol.vxs"
+        write(path, volume(3, (1, 1, 2, 2, 2)))
+        before = path.read_bytes()
+        with pytest.raises(NonFiniteError):
+            write(path, np.full((1, 1, 1, 1, 1), np.inf, dtype=np.float32))
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("existing", [None, (1, 1, 1, 1, 1), (1, 1, 4, 4, 4)], ids=["new", "shorter", "longer"])
+    def test_interrupted_write_refused(self, tmp_path, monkeypatch, existing):
+        path = tmp_path / "vol.vxs"
+        if existing is not None:
+            write(path, volume(4, existing))
+        monkeypatch.setattr(volume_io, "open", lambda *a, **kw: PayloadWriteFails(open(*a, **kw)), raising=False)
+        with pytest.raises(OSError, match="no space left"):
+            write(path, volume(5, (1, 1, 2, 2, 2)))
+        monkeypatch.undo()
+        with pytest.raises(BadMagicError):
+            read(path)
+
+    def test_dev_null(self):
+        if not os.path.exists(os.devnull):
+            pytest.skip(f"{os.devnull} does not exist")
+        write(os.devnull, volume(6, (1, 1, 2, 2, 2)))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_fifo_read_by_a_thread(self, tmp_path):
+        t = volume(7, (2, 1, 3, 3, 3))
+        write(tmp_path / "file.vxs", t)
+        fifo = tmp_path / "pipe.vxs"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write(fifo, t)
+        reader.join(timeout=10)
+        assert got == [(tmp_path / "file.vxs").read_bytes()]
 
 
 # (field, value of the wrong kind, the whole ConfigError message) for each SyntheticSpec field.
