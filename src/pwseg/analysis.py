@@ -26,8 +26,11 @@ from .tensor import DTYPE, POSITIVE, count, real, seeded_rng, spatial_triple
 class MadInput:
     """A row-stochastic attention matrix over a voxel grid with physical spacing.
 
-    Construction checks that rows sum to 1 within 1e-3 and entries are >= -1e-9;
-    ``weights`` is a read-only float64 view (of the input itself when it is one).
+    Construction checks that the weights are an array (ShapeError for a
+    ragged sequence) of real numbers (DomainError for an object, string or
+    complex array), that rows sum to 1 within 1e-3 and that entries are
+    >= -1e-9; ``weights`` is a read-only float64 view (of the input
+    itself when it is one).
     """
 
     weights: np.ndarray
@@ -35,7 +38,13 @@ class MadInput:
     spacing: float = 1.0
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64).view()
+        try:
+            w = np.asarray(self.weights)
+        except ValueError as exc:  # a ragged nested sequence
+            raise ShapeError(f"attention weights must be an L x L array: {exc}") from None
+        if w.dtype.kind not in "biuf":
+            raise DomainError(f"attention weights must be real numbers, got dtype {w.dtype}")
+        w = np.ascontiguousarray(w, dtype=np.float64).view()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "grid", spatial_triple(self.grid, "grid"))

@@ -2,7 +2,7 @@
 
 Subcommands:
     plan-groups    JL group-size bounds and the rounded per-stage plan
-    flops          per-stage attention cost and network totals for a config
+    flops          per-stage attention cost, window schedules and network totals for a config
     forward        run inference on a volume file
     sdkt-loss      Gram-matrix transfer loss (and optional gradient) on features
     mad            mean attention distance of a stored attention matrix
@@ -15,7 +15,10 @@ BLAS thread counts via environment variables before numpy loads.  Any
 ``pwseg.errors`` failure, and any ``OSError`` on a file named on the command
 line (missing input, output in a missing directory), prints a one-line
 ``error:`` message and exits 2.  A handler checks that it can open each
-output before it builds, runs or generates anything.
+output before it builds, runs or generates anything.  An unset flag passes
+nothing, so the entry point's own default applies; only ``--seed`` of
+``forward`` and ``gen-synthetic`` defaults to 0, as ``build`` and
+``gen_synthetic`` have no seed default.
 """
 
 from __future__ import annotations
@@ -75,10 +78,15 @@ def _check_output(path: str) -> None:
         os.remove(path)
 
 
+def _given(args, *names) -> dict:
+    """The options among ``names`` that the command line set, as keyword arguments; an unset one stays out."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cmd_plan_groups(args) -> int:
     from .jl import plan_stages
 
-    plan = plan_stages(args.modalities, n=args.n, alpha=args.alpha, profile=args.profile)
+    plan = plan_stages(args.modalities, **_given(args, "n", "alpha", "profile"))
     report = dict(plan.__dict__, raw_bounds=[round(b, 4) for b in plan.raw_bounds])
     print(json.dumps(report, indent=2))
     return 0
@@ -88,15 +96,20 @@ def _cmd_flops(args) -> int:
     from .network import attention_stage_flops, build, flop_breakdown, param_count
 
     cfg = _load_config(args.config)
-    extent = args.extent or cfg.input_extent
     net = build(cfg, seed=0)
-    breakdown = flop_breakdown(net, extent)
+    if args.extent is not None:
+        cfg = replace(cfg, input_extent=args.extent)
+    breakdown = flop_breakdown(net, cfg.input_extent)
     report = {
-        "extent": list(extent),
-        "per_stage_attention_flops": attention_stage_flops(cfg, extent),
+        "extent": list(cfg.input_extent),
+        "per_stage_attention_flops": attention_stage_flops(cfg),
         "breakdown": breakdown,
         "total_flops": sum(breakdown.values()),
         "param_count": param_count(net),
+        "window_schedules": [
+            {"extent": sched.extent, "big_windows": [big for big, _ in sched.pairs], "seq_len": sched.seq_len}
+            for sched in cfg.stage_schedules
+        ],
     }
     print(json.dumps(report, indent=2))
     return 0
@@ -155,8 +168,8 @@ def _cmd_mad(args) -> int:
     stored = volume_io.read(args.weights)
     l = stored.shape[-1]
     weights = stored.reshape(-1, l)
-    result = mad(MadInput(weights=weights, grid=args.grid, spacing=args.spacing))
-    print(json.dumps({"mad": result, "grid": list(args.grid), "spacing": args.spacing}))
+    inp = MadInput(weights=weights, grid=args.grid, **_given(args, "spacing"))
+    print(json.dumps({"mad": mad(inp), "grid": inp.grid, "spacing": inp.spacing}))
     return 0
 
 
@@ -170,13 +183,7 @@ def _cmd_bench(args) -> int:
         cfg = replace(cfg, input_extent=args.extent)
     if args.report:
         _check_output(args.report)
-    report = bench(
-        cfg,
-        threads=args.threads,
-        iters=args.iters,
-        warmup=args.warmup,
-        seed=args.seed,
-    )
+    report = bench(cfg, **_given(args, "threads", "iters", "warmup", "seed"))
     text = report.to_json()
     if args.report:
         with open(args.report, "w") as fh:
@@ -190,12 +197,7 @@ def _cmd_gen_synthetic(args) -> int:
     from .volume_io import SyntheticSpec, gen_synthetic
 
     spec = SyntheticSpec(
-        extent=args.extent,
-        modalities=args.modalities,
-        blob_count=args.blobs,
-        blob_radius=args.blob_radius,
-        blob_intensity=args.blob_intensity,
-        noise_sigma=args.noise_sigma,
+        **_given(args, "extent", "modalities", "blob_count", "blob_radius", "blob_intensity", "noise_sigma")
     )
     paths = [f"{args.out_prefix}_mod{m + 1}.vxs" for m in range(spec.modalities)] + [f"{args.out_prefix}_label.vxs"]
     for path in paths:
@@ -213,14 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan-groups", help="JL group-size bounds and per-stage plan")
     p.add_argument("--modalities", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--profile", choices=("medical3d", "natural2d"), default="medical3d")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--profile")
+    p.add_argument("--n", type=int)
     p.set_defaults(handler=_cmd_plan_groups)
 
-    p = sub.add_parser("flops", help="attention cost per stage and network totals")
+    p = sub.add_parser("flops", help="attention cost and window schedule per stage, network totals")
     p.add_argument("--config", required=True)
-    p.add_argument("--extent", type=parse_extent, default=None)
+    p.add_argument("--extent", type=parse_extent)
     p.set_defaults(handler=_cmd_flops)
 
     p = sub.add_parser("forward", help="run inference on a volume file")
@@ -233,33 +235,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sdkt-loss", help="Gram-matrix transfer loss on stored features")
     p.add_argument("--seg", required=True)
     p.add_argument("--teacher", action="append", required=True, metavar="PATH[:WEIGHT]")
-    p.add_argument("--grad", default=None, help="write d(loss)/d(seg) to this path")
+    p.add_argument("--grad", help="write d(loss)/d(seg) to this path")
     p.set_defaults(handler=_cmd_sdkt_loss)
 
     p = sub.add_parser("mad", help="mean attention distance of a stored matrix")
     p.add_argument("--weights", required=True)
     p.add_argument("--grid", type=parse_extent, required=True)
-    p.add_argument("--spacing", type=float, default=1.0)
+    p.add_argument("--spacing", type=float)
     p.set_defaults(handler=_cmd_mad)
 
     p = sub.add_parser("bench", help="forward throughput measurement")
     p.add_argument("--config", required=True)
-    p.add_argument("--extent", type=parse_extent, default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="forward worker threads; BLAS runs one thread per worker")
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default=None)
+    p.add_argument("--extent", type=parse_extent)
+    p.add_argument("--threads", type=int, help="forward worker threads; BLAS runs one thread per worker")
+    p.add_argument("--iters", type=int)
+    p.add_argument("--warmup", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--report")
     p.set_defaults(handler=_cmd_bench)
 
     p = sub.add_parser("gen-synthetic", help="seeded phantom volumes plus label")
-    p.add_argument("--extent", type=parse_extent, default=(96, 96, 96))
-    p.add_argument("--modalities", type=int, default=2)
-    p.add_argument("--blobs", type=int, default=3)
-    p.add_argument("--blob-radius", type=float, default=6.0)
-    p.add_argument("--blob-intensity", type=float, default=4.0)
-    p.add_argument("--noise-sigma", type=float, default=0.1)
+    p.add_argument("--extent", type=parse_extent)
+    p.add_argument("--modalities", type=int)
+    p.add_argument("--blobs", type=int, dest="blob_count")
+    p.add_argument("--blob-radius", type=float)
+    p.add_argument("--blob-intensity", type=float)
+    p.add_argument("--noise-sigma", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(handler=_cmd_gen_synthetic)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .tensor import (
     DTYPE,
     ConvParams,
@@ -93,8 +93,10 @@ class JlcBlockParams:
 
 def jlc_forward(x: np.ndarray, p: JlcBlockParams) -> np.ndarray:
     """Run one conv block: branches -> norm -> act -> residual -> FFN."""
+    if x.ndim != 4:
+        raise ShapeError(f"jlc_forward input must be rank 4 [C, D, H, W], got rank {x.ndim}")
     if x.shape[0] != p.channels:
-        raise ConfigError(f"block expects {p.channels} channels, got {x.shape[0]}")
+        raise ShapeError(f"block expects {p.channels} channels, got {x.shape[0]}")
     outs = []
     offset = 0
     for branch, width in zip(p.branches, p.chunk_widths):

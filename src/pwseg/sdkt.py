@@ -121,8 +121,12 @@ def _checked_teachers(channels: int, teachers) -> list:
     A weight is a :func:`~pwseg.tensor.real` number >= 0, as ``SyntheticSpec``'s knobs are.
     The callers make no Gram before this returns, so a bad teacher costs none.
     """
+    try:
+        entries = iter(teachers)
+    except TypeError:
+        raise ShapeError(f"teachers must be a sequence of (features, weight) pairs, got {teachers!r}") from None
     checked = []
-    for t, entry in enumerate(teachers):
+    for t, entry in enumerate(entries):
         if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
             raise ShapeError(f"teacher {t} must be a (features, weight) pair, got a {type(entry).__name__}")
         feat, weight = entry

@@ -223,7 +223,7 @@ def conv3d(x: np.ndarray, p: ConvParams) -> np.ndarray:
         raise ConfigError(f"conv3d runs stride-1 convs only, got stride {p.stride}")
     c_in, d, h, w = x.shape
     if c_in != p.c_in:
-        raise ConfigError(f"input has {c_in} channels, conv expects {p.c_in}")
+        raise ShapeError(f"input has {c_in} channels, conv expects {p.c_in}")
     k, g = p.kernel, p.groups
     cog, cig = p.c_out // g, c_in // g
     if k == 1:

@@ -197,6 +197,19 @@ class TestMad:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             MadInput(np.eye(7), (2, 2, 2))
+        with pytest.raises(ShapeError, match="must be an L x L array"):
+            MadInput([[0.5, 0.5], [1.0]], (1, 1, 2))
+
+    @pytest.mark.parametrize(
+        "weights, dtype",
+        [(object(), "object"), ("ab", "<U2"), (None, "object"), (np.full((2, 2), 0.5 + 0j), "complex128"),
+         ([[0.5, 0.5], [0.5, "0.5"]], "<U")],
+        ids=["object", "string", "none", "complex", "mixed"],
+    )
+    def test_weights_not_real_numbers_rejected(self, weights, dtype):
+        """Refused by name before any cast: complex weights would otherwise lose their imaginary part."""
+        with pytest.raises(DomainError, match=re.escape(f"attention weights must be real numbers, got dtype {dtype}")):
+            MadInput(weights, (1, 1, 2))
 
     def test_nan_weight_rejected(self):
         w = np.full((8, 8), 0.125)

@@ -7,6 +7,7 @@ import shlex
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,32 @@ class TestPlanGroups:
         assert got["group_sizes"] == [1, 2, 4, 4]
         assert got["raw_bounds"][0] == pytest.approx(1.0986, abs=1e-3)
 
+    @pytest.mark.parametrize("argv, sizes", [(["--n", "1"], [1, 2, 2, 4]), (["--n", "2"], [2, 4, 4, 8]),
+                                             ([], [4, 8, 8, 16])], ids=["n1", "n2", "unset"])
+    def test_design_table_rows(self, capsys, argv, sizes):
+        """The rounded plans of the design tables (natural2d n = 1 is above); an unset --n is n = 4."""
+        code, got = run_cli(capsys, "plan-groups", "--modalities", "2", *argv)
+        assert code == 0 and got["group_sizes"] == sizes
+
+    def test_unknown_profile(self, capsys):
+        """plan_stages names the known profiles; the CLI keeps no list of its own."""
+        code, lines = run_cli_error(capsys, "plan-groups", "--modalities", "2", "--profile", "flat")
+        assert code == 2 and len(lines) == 1
+        assert lines[0] == "error: unknown profile 'flat'; expected one of ['medical3d', 'natural2d']"
+
+
+def schedule_row(extent, bigs, seq_len):
+    return {"extent": [extent] * 3, "big_windows": [[b] * 3 for b in bigs], "seq_len": seq_len}
+
+
+# The default network's window schedules, one row per stage: flops options -> (input extent, rows).
+SCHEDULES = {
+    (): (96, [schedule_row(24, (3, 6, 12, 24), 27), schedule_row(12, (6, 12), 216),
+              schedule_row(6, (3, 6), 27), schedule_row(3, (3,), 27)]),
+    ("--extent", "64x64x64"): (64, [schedule_row(16, (4, 8, 16), 64), schedule_row(8, (8,), 512),
+                                    schedule_row(4, (4,), 64), schedule_row(2, (2,), 8)]),
+}
+
 
 class TestFlops:
     def test_report_shape(self, capsys, tiny_config_path):
@@ -68,6 +95,16 @@ class TestFlops:
         assert caught.value.code == 2
         code, got = run_cli(capsys, "flops", "--config", tiny_config_path)
         assert (code, got["total_flops"], got["param_count"]) == (0, 61140224, 903886)
+
+    @pytest.mark.parametrize("options", list(SCHEDULES), ids=["96", "64"])
+    def test_window_schedules(self, capsys, tmp_path, options):
+        """The default config's schedules, at its 96^3 input extent or at --extent."""
+        path = tmp_path / "default.json"
+        path.write_text("{}")
+        code, got = run_cli(capsys, "flops", "--config", str(path), *options)
+        extent, rows = SCHEDULES[options]
+        assert code == 0 and got["extent"] == [extent] * 3
+        assert got["window_schedules"] == rows
 
 
 class TestForwardPipeline:
@@ -354,6 +391,52 @@ class TestMad:
         assert got["mad"] == pytest.approx(0.5)
 
 
+class Recorded(Exception):
+    """Raised by a recording stand-in for an entry point, so no work runs after the call."""
+
+
+class TestUnsetFlags:
+    """A flag the command line does not set passes no value, so the entry point's default applies.
+
+    subcommand -> (entry point, required argv, optional argv, the keywords that optional argv passes)
+    """
+
+    CASES = {
+        "plan-groups": ("pwseg.jl.plan_stages", ["--modalities", "2"],
+                        ["--n", "2", "--alpha", "0.5", "--profile", "natural2d"],
+                        {"n": 2, "alpha": 0.5, "profile": "natural2d"}),
+        "mad": ("pwseg.analysis.MadInput", ["--weights", "{weights}", "--grid", "1x1x2"],
+                ["--spacing", "2.5"], {"spacing": 2.5}),
+        "bench": ("pwseg.analysis.bench", ["--config", "{cfg}"],
+                  ["--threads", "2", "--iters", "3", "--warmup", "4", "--seed", "5"],
+                  {"threads": 2, "iters": 3, "warmup": 4, "seed": 5}),
+        "gen-synthetic": ("pwseg.volume_io.SyntheticSpec", ["--out-prefix", "{prefix}"],
+                          ["--extent", "32x64x32", "--modalities", "3", "--blobs", "0", "--blob-radius", "2.5",
+                           "--blob-intensity", "-1", "--noise-sigma", "0.5"],
+                          {"extent": (32, 64, 32), "modalities": 3, "blob_count": 0, "blob_radius": 2.5,
+                           "blob_intensity": -1.0, "noise_sigma": 0.5}),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_only_set_flags_pass(self, monkeypatch, tmp_path, tiny_config_path, command):
+        target, required, optional, keywords = self.CASES[command]
+        calls = []
+
+        def stand_in(*args, **kwargs):
+            calls.append(kwargs)
+            raise Recorded
+
+        monkeypatch.setattr(target, stand_in)
+        volume_io.write(tmp_path / "w.vxs", np.full((1, 1, 1, 2, 2), 0.5, dtype=np.float32))
+        paths = {"weights": tmp_path / "w.vxs", "cfg": tiny_config_path, "prefix": tmp_path / "case"}
+        required = [arg.format(**paths) for arg in required]
+        for argv in ([command, *required], [command, *required, *optional]):
+            with pytest.raises(Recorded):
+                main(argv)
+        unset, given = ({k: v for k, v in kwargs.items() if k not in ("weights", "grid")} for kwargs in calls)
+        assert unset == {} and given == keywords
+
+
 class TestBenchCli:
     def test_bench_writes_report(self, capsys, tmp_path):
         cfg = dict(TINY_CONFIG, attention_depth=[0, 0, 0, 0])
@@ -402,20 +485,42 @@ class TestBenchCli:
 
 
 def readme_cli_lines():
-    """The ``pwseg ...`` lines of the shell block under README's CLI heading."""
+    """Every ``pwseg ...`` line of README's shell blocks; a loop variable reads as its loop's first value."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
-    return [line for line in block.splitlines() if line.startswith("pwseg ")]
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        first = dict(re.findall(r"for (\w+) in (\S+)", block))
+        for line in block.splitlines():
+            if line.strip().startswith("pwseg "):
+                lines.append(re.sub(r"\$(\w+)", lambda m: first[m.group(1)], line.strip()))
+    return lines
+
+
+def readme_line_ids(lines):
+    """Each line's subcommand, numbered from its second line on: plan-groups, plan-groups-2, ..."""
+    seen = Counter()
+    ids = []
+    for line in lines:
+        command = line.split()[1]
+        seen[command] += 1
+        ids.append(command if seen[command] == 1 else f"{command}-{seen[command]}")
+    return ids
+
+
+README_LINES = readme_cli_lines()
 
 
 class TestReadme:
-    """README's CLI block stays runnable: a renamed or dropped flag fails here, without running anything."""
+    """README's CLI lines stay runnable: a renamed or dropped flag fails here; only plan-groups lines run."""
 
     def test_block_covers_every_subcommand(self):
         subcommands = next(a.choices for a in build_parser()._actions if a.dest == "command")
-        assert {shlex.split(line)[1] for line in readme_cli_lines()} == set(subcommands)
+        assert {shlex.split(line)[1] for line in README_LINES} == set(subcommands)
 
-    @pytest.mark.parametrize("line", readme_cli_lines(), ids=lambda line: line.split()[1])
-    def test_line_parses(self, line):
+    @pytest.mark.parametrize("line", README_LINES, ids=readme_line_ids(README_LINES))
+    def test_line_parses(self, line, capsys):
+        """Each line parses; a plan-groups line reads no file, so it also runs (a profile is checked then)."""
         args = build_parser().parse_args(shlex.split(line)[1:])
         assert args.handler.__name__ == "_cmd_" + args.command.replace("-", "_")
+        if args.command == "plan-groups":
+            assert run_cli(capsys, *shlex.split(line)[1:])[0] == 0

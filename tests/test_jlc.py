@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pwseg.errors import ConfigError
+from pwseg.errors import ConfigError, ShapeError
 from pwseg.jlc import (
     JlcBlockParams,
     branch_channel_split,
@@ -178,8 +178,15 @@ class TestForward:
     def test_wrong_channel_count(self):
         rng = np.random.default_rng(5)
         block = build_jlc_block(rng, 8, 2, expansion=2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError, match="block expects 8 channels, got 9"):
             jlc_forward(np.zeros((9, 4, 4, 4), dtype=np.float32), block)
+
+    @pytest.mark.parametrize("x", [np.float32(1), np.zeros((8, 4, 4)), np.zeros((1, 8, 4, 4, 4))],
+                             ids=["rank0", "rank3", "rank5"])
+    def test_input_not_rank_four(self, x):
+        block = build_jlc_block(np.random.default_rng(5), 8, 2, expansion=2)
+        with pytest.raises(ShapeError, match=f"must be rank 4 \\[C, D, H, W\\], got rank {np.ndim(x)}"):
+            jlc_forward(x, block)
 
 
 class TestParamCount:

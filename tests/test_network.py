@@ -553,15 +553,30 @@ class TestWalk:
             attention_stage_flops(WALK_BASE, ())
 
 
-def float64_params(obj):
-    """``obj`` with every parameter dataclass remade and every array as float64; configs untouched."""
+def as_float64(a):
+    return a.astype(np.float64)
+
+
+def float64_params(obj, cast=as_float64):
+    """``obj`` with every parameter dataclass remade and every array ``cast`` to float64; configs untouched."""
     if isinstance(obj, np.ndarray):
-        return obj.astype(np.float64)
+        return cast(obj)
     if isinstance(obj, tuple):
-        return tuple(float64_params(item) for item in obj)
+        return tuple(float64_params(item, cast) for item in obj)
     if is_dataclass(obj) and not isinstance(obj, NetworkConfig):
-        return replace(obj, **{f.name: float64_params(getattr(obj, f.name)) for f in fields(obj)})
+        return replace(obj, **{f.name: float64_params(getattr(obj, f.name), cast) for f in fields(obj)})
     return obj
+
+
+def off_grid(steps, seed=0):
+    """A float64 cast that moves each element by a relative ``steps``·2⁻³⁰, with a seeded sign per element.
+
+    The move is under a float32 half-ulp (2⁻²⁵), so it lives only in float64.  The same seed gives
+    the same signs to the same sequence of arrays, so ``off_grid(2)`` moves each element twice as far
+    as ``off_grid(1)``.
+    """
+    rng = np.random.default_rng(seed)
+    return lambda a: a.astype(np.float64) * (1 + steps * 2.0**-30 * rng.choice((-1.0, 1.0), a.shape))
 
 
 TWIN_MODULES = (tensor, network, jlc, pwa)
@@ -581,19 +596,20 @@ def float64_only(name, fn):
     return wrapper
 
 
-def float64_twin_logits(net, vols):
+def float64_twin_logits(net, vols, cast=as_float64):
     """Logits of ``net``'s float64 twin: ``DTYPE`` is float64 in every engine module while the
     twin is made and run, then restored.  Every kernel output must be float64: a kernel that
-    bound ``DTYPE`` early would otherwise be hidden by the next conv, which rounds to ``DTYPE``."""
+    bound ``DTYPE`` early would otherwise be hidden by the next conv, which rounds to ``DTYPE``.
+    ``cast`` turns each parameter array, then each input volume, into the twin's float64 array."""
     with pytest.MonkeyPatch.context() as mp:
         for module in TWIN_MODULES:
             mp.setattr(module, "DTYPE", np.float64)
             for name in TWIN_KERNELS:
                 if module is not tensor and hasattr(module, name):
                     mp.setattr(module, name, float64_only(name, getattr(module, name)))
-        twin = float64_params(net)
+        twin = float64_params(net, cast)
         assert all(a.dtype == np.float64 for a in param_arrays(twin))
-        logits = forward(twin, vols)
+        logits = forward(twin, [cast(v) for v in vols])
     assert logits.dtype == np.float64
     assert all(module.DTYPE is np.float32 for module in TWIN_MODULES)
     return logits
@@ -619,6 +635,26 @@ class TestFloat64Twin:
         after = forward(net, vols)
         assert after.dtype == np.float32
         np.testing.assert_array_equal(after, before)
+
+    @pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
+    def test_twin_is_float64_throughout(self, name):
+        """Operands moved off the float32 grid by a relative 2⁻³⁰ move the twin's logits by about
+        that much, and twice the move doubles the change.
+
+        A float32 step anywhere inside the twin would round the move to 0 or to a float32 ulp, and
+        the network's rounding at 2⁻²⁴ stays under the 2e-6 ceiling above, so that test cannot see
+        it.  Read when added: the change is 3.6-4.4 times 2⁻³⁰ of max|logits|, off linear by
+        5e-7 to 7e-7 of itself; with ``conv3d``'s padded buffer held in float32 (a mutation) 44-66
+        times and 1.4-1.7.
+        """
+        cfg = WALK_CONFIGS[name]
+        net = build(cfg, seed=3)
+        rng = np.random.default_rng(11)
+        vols = [rng.standard_normal((1, *cfg.input_extent), dtype=np.float32) for _ in range(cfg.modalities)]
+        base = float64_twin_logits(net, vols)
+        once, twice = (float64_twin_logits(net, vols, off_grid(steps)) - base for steps in (1, 2))
+        assert np.max(np.abs(once)) <= 16 * 2.0**-30 * np.max(np.abs(base))
+        assert np.max(np.abs(twice - 2 * once)) <= 1e-4 * np.max(np.abs(once))
 
 
 class TestConvFoldGate:

@@ -484,6 +484,15 @@ class TestTeacherWeights:
             fn(x, [(x, 1.0), entry(2 * x)])
         assert grams == []
 
+    @pytest.mark.parametrize("teachers", [5, None, object()], ids=["int", "none", "object"])
+    @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
+    def test_teachers_not_iterable_named(self, monkeypatch, fn, teachers):
+        x = np.random.default_rng(12).standard_normal((3, 10))
+        grams = count_grams(monkeypatch)
+        with pytest.raises(ShapeError, match=r"teachers must be a sequence of \(features, weight\) pairs, got "):
+            fn(x, teachers)
+        assert grams == []
+
     @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad])
     def test_numpy_weights_read_as_floats(self, fn):
         """A numpy scalar weight gives the result of the same Python number, and a list pair is a pair."""

@@ -310,7 +310,7 @@ class TestConv3d:
 
     def test_channel_mismatch(self):
         p = ConvParams(weight=np.ones((2, 2, 1, 1, 1), dtype=np.float32))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError, match="input has 3 channels, conv expects 2"):
             conv3d(np.zeros((3, 2, 2, 2), dtype=np.float32), p)
 
     def test_even_kernel_rejected(self):
