@@ -117,9 +117,6 @@ class BenchReport:
     flops_per_patch: int
     stage_flop_shares: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True)
-
 
 def config_digest(cfg) -> str:
     """Stable digest of a network configuration for report provenance."""

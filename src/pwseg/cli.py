@@ -14,8 +14,9 @@ no submodule, and ``pwseg.errors`` imports nothing), so ``bench`` can pin
 BLAS thread counts via environment variables before numpy loads.  Any
 ``pwseg.errors`` failure, and any ``OSError`` on a file named on the command
 line (missing input, output in a missing directory), prints a one-line
-``error:`` message and exits 2.  A handler checks that it can open each
-output before it builds, runs or generates anything.  An unset flag passes
+``error:`` message and exits 2; a stdout closed before the report is out
+exits 1 quietly.  A handler checks that it can open each output before it
+builds, runs or generates anything.  An unset flag passes
 nothing, so the entry point's own default applies; only ``--seed`` of
 ``forward`` and ``gen-synthetic`` defaults to 0, as ``build`` and
 ``gen_synthetic`` have no seed default.
@@ -27,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .errors import ConfigError, DomainError, PwsegError
 
@@ -83,16 +84,19 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def _cmd_plan_groups(args) -> int:
+def _report_text(report: dict) -> str:
+    """A report as ``main`` prints it and ``bench --report`` writes it: one JSON document, two-space indent."""
+    return json.dumps(report, indent=2)
+
+
+def _cmd_plan_groups(args) -> dict:
     from .jl import plan_stages
 
     plan = plan_stages(args.modalities, **_given(args, "n", "alpha", "profile"))
-    report = dict(plan.__dict__, raw_bounds=[round(b, 4) for b in plan.raw_bounds])
-    print(json.dumps(report, indent=2))
-    return 0
+    return dict(plan.__dict__, raw_bounds=[round(b, 4) for b in plan.raw_bounds])
 
 
-def _cmd_flops(args) -> int:
+def _cmd_flops(args) -> dict:
     from .network import attention_stage_flops, build, flop_breakdown, param_count
 
     cfg = _load_config(args.config)
@@ -100,7 +104,7 @@ def _cmd_flops(args) -> int:
     if args.extent is not None:
         cfg = replace(cfg, input_extent=args.extent)
     breakdown = flop_breakdown(net, cfg.input_extent)
-    report = {
+    return {
         "extent": list(cfg.input_extent),
         "per_stage_attention_flops": attention_stage_flops(cfg),
         "breakdown": breakdown,
@@ -111,11 +115,9 @@ def _cmd_flops(args) -> int:
             for sched in cfg.stage_schedules
         ],
     }
-    print(json.dumps(report, indent=2))
-    return 0
 
 
-def _cmd_forward(args) -> int:
+def _cmd_forward(args) -> dict:
     from . import volume_io
     from .network import build, forward
 
@@ -124,8 +126,7 @@ def _cmd_forward(args) -> int:
     net = build(cfg, seed=args.seed)
     logits = forward(net, list(volume_io.read(args.input)))
     volume_io.write(args.output, logits[None])
-    print(json.dumps({"output": args.output, "logits_shape": list(logits.shape)}))
-    return 0
+    return {"output": args.output, "logits_shape": list(logits.shape)}
 
 
 def _parse_teacher(spec: str):
@@ -142,7 +143,7 @@ def _parse_teacher(spec: str):
     return path, real(weight, f"teacher {spec!r} weight", 0, DomainError)
 
 
-def _cmd_sdkt_loss(args) -> int:
+def _cmd_sdkt_loss(args) -> dict:
     from . import volume_io
     from .sdkt import sdkt_grad, sdkt_loss
 
@@ -157,11 +158,10 @@ def _cmd_sdkt_loss(args) -> int:
     if args.grad:
         grad = sdkt_grad(seg, teachers)
         volume_io.write(args.grad, grad[None])
-    print(json.dumps({"loss": loss, "teachers": len(teachers), "grad": args.grad}))
-    return 0
+    return {"loss": loss, "teachers": len(teachers), "grad": args.grad}
 
 
-def _cmd_mad(args) -> int:
+def _cmd_mad(args) -> dict:
     from . import volume_io
     from .analysis import MadInput, mad
 
@@ -169,11 +169,10 @@ def _cmd_mad(args) -> int:
     l = stored.shape[-1]
     weights = stored.reshape(-1, l)
     inp = MadInput(weights=weights, grid=args.grid, **_given(args, "spacing"))
-    print(json.dumps({"mad": mad(inp), "grid": inp.grid, "spacing": inp.spacing}))
-    return 0
+    return {"mad": mad(inp), "grid": inp.grid, "spacing": inp.spacing}
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> dict:
     # --threads N runs N forward workers, each on a one-thread BLAS.
     pin_blas_threads()
     from .analysis import bench
@@ -183,16 +182,14 @@ def _cmd_bench(args) -> int:
         cfg = replace(cfg, input_extent=args.extent)
     if args.report:
         _check_output(args.report)
-    report = bench(cfg, **_given(args, "threads", "iters", "warmup", "seed"))
-    text = report.to_json()
+    report = asdict(bench(cfg, **_given(args, "threads", "iters", "warmup", "seed")))
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-    return 0
+            fh.write(_report_text(report) + "\n")
+    return report
 
 
-def _cmd_gen_synthetic(args) -> int:
+def _cmd_gen_synthetic(args) -> dict:
     from . import volume_io
     from .volume_io import SyntheticSpec, gen_synthetic
 
@@ -205,8 +202,7 @@ def _cmd_gen_synthetic(args) -> int:
     volumes, label = gen_synthetic(spec, seed=args.seed)
     for path, t in zip(paths, [*(v[None] for v in volumes), label]):
         volume_io.write(path, t)
-    print(json.dumps({"written": paths, "label_voxels": int(label.sum())}))
-    return 0
+    return {"written": paths, "label_voxels": int(label.sum())}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,13 +265,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a pwseg or file error prints ``error: <message>`` and returns 2."""
+    """Print the report a subcommand's handler returns: 0, or 2 on a pwseg or file error, 1 on a closed stdout."""
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        report = args.handler(args)
     except (PwsegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        print(_report_text(report), flush=True)  # flushed here, so a closed pipe raises inside the try
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull, as the signal docs advise for SIGPIPE.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -297,6 +297,12 @@ class Network:
     head: ConvParams
 
 
+def _require(value, kind: type, entry: str) -> None:
+    """ConfigError naming ``entry``, ``kind`` and the type given, unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{entry} needs a {kind.__name__}, got {type(value).__name__}")
+
+
 def build(cfg: NetworkConfig, seed: int) -> Network:
     """Construct a network with seeded, reproducible initialization.
 
@@ -305,8 +311,7 @@ def build(cfg: NetworkConfig, seed: int) -> Network:
     checked itself when it was made; ConfigError unless it is a ``NetworkConfig``,
     DomainError unless ``seed`` is an integer >= 0.
     """
-    if not isinstance(cfg, NetworkConfig):
-        raise ConfigError(f"build needs a NetworkConfig, got {type(cfg).__name__}")
+    _require(cfg, NetworkConfig, "build")
     rng = seeded_rng(seed)
     widths = cfg.stage_widths
     c1 = widths[0]
@@ -375,10 +380,19 @@ def forward(net: Network, volumes) -> np.ndarray:
 
     Inputs are M arrays of shape [1, D, H, W] matching the configured extent;
     the output is [num_classes, D, H, W].  Deterministic given (net, inputs).
+    ConfigError unless ``net`` is a ``Network``; ShapeError unless ``volumes``
+    has a length.
     """
+    _require(net, Network, "forward")
     cfg = net.config
-    if len(volumes) != cfg.modalities:
-        raise ShapeError(f"expected {cfg.modalities} modality volumes, got {len(volumes)}")
+    try:
+        given = len(volumes)
+    except TypeError:  # an int, None, a generator or a 0-d array
+        raise ShapeError(
+            f"volumes must be a sequence of {cfg.modalities} arrays, got {type(volumes).__name__}"
+        ) from None
+    if given != cfg.modalities:
+        raise ShapeError(f"expected {cfg.modalities} modality volumes, got {given}")
     expected = (1, *cfg.input_extent)
     vols = []
     for m, v in enumerate(volumes):
@@ -473,8 +487,10 @@ def _walk(net: Network, extent=None):
     ``input_shape`` its first argument's (the first modality's for
     ``pwa_forward``).  ``cost`` counts 2 ops per conv multiply-accumulate plus
     bias adds, the closed-form window model for the attention core, and one
-    op per element for norms, activations and residual adds.
+    op per element for norms, activations and residual adds.  ConfigError
+    unless ``net`` is a ``Network``.
     """
+    _require(net, Network, "flop_breakdown")
     cfg = net.config if extent is None else replace(net.config, input_extent=spatial_triple(extent, "extent"))
     extent = cfg.input_extent
     ext = [sched.extent for sched in cfg.stage_schedules]
@@ -531,10 +547,12 @@ def total_flops(net: Network, extent=None) -> int:
     return sum(flop_breakdown(net, extent).values())
 
 
-def attention_stage_flops(cfg: NetworkConfig, extent=None) -> list[int]:
-    """Closed-form attention cost per stage (one value per attention block)."""
-    if extent is not None:
-        cfg = replace(cfg, input_extent=spatial_triple(extent, "extent"))
+def attention_stage_flops(cfg: NetworkConfig) -> list[int]:
+    """Closed-form attention cost per stage at the config's input extent (one value per attention block).
+
+    ConfigError unless ``cfg`` is a ``NetworkConfig``.
+    """
+    _require(cfg, NetworkConfig, "attention_stage_flops")
     return [
         pwa_flops(sched.extent, sched, cfg.stage_widths[k], cfg.attention_modalities) * cfg.attention_depth[k]
         for k, sched in enumerate(cfg.stage_schedules)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     BadMagicError,
     ConfigError,
+    DomainError,
     ShapeError,
     TruncatedFileError,
     UnsupportedVersionError,
@@ -30,6 +31,17 @@ from .tensor import DTYPE, POSITIVE, SPATIAL_AXES, count, real, require_finite, 
 MAGIC = b"VXSG"
 VERSION = 1
 _HEADER = struct.Struct("<4sI5I")
+
+
+def _file_path(path):
+    """``os.fspath(path)``: a str or bytes path; DomainError naming ``path`` for anything else.
+
+    An int is refused too, so ``read`` and ``write`` never take over (and close) a caller's descriptor.
+    """
+    try:
+        return os.fspath(path)
+    except TypeError:
+        raise DomainError(f"path must be a str, bytes or os.PathLike, got {type(path).__name__}") from None
 
 
 def _as_tensor5(data) -> np.ndarray:
@@ -49,8 +61,10 @@ def write(path, t: np.ndarray) -> None:
     file is cut to its new size and the magic is written last, so ``read``
     refuses a write that was interrupted.  Any other destination (a FIFO,
     ``/dev/null``) gets the header, magic included, then the payload.  A
-    non-finite payload is refused before the file is opened.
+    non-finite payload, or a ``path`` that is not a path (DomainError), is
+    refused before the file is opened.
     """
+    path = _file_path(path)
     t = _as_tensor5(t)
     require_finite(t, "volume payload")
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
@@ -68,8 +82,10 @@ def write(path, t: np.ndarray) -> None:
 def read(path) -> np.ndarray:
     """Parse a volume file back into a rank-5 float32 array.
 
-    Raises NonFiniteError if the payload holds NaN or Inf.
+    Raises NonFiniteError if the payload holds NaN or Inf, and DomainError,
+    before opening anything, if ``path`` is not a path.
     """
+    path = _file_path(path)
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size < _HEADER.size:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving every subcommand in-process."""
 
+import ast
 import json
 import os
 import re
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import pwseg
-from pwseg import volume_io
+from pwseg import cli, volume_io
 from pwseg.cli import _parse_teacher, build_parser, main
 from pwseg.errors import DomainError
 
@@ -33,9 +34,12 @@ def tiny_config_path(tmp_path):
 
 
 def run_cli(capsys, *argv):
+    """Run the CLI in-process; returns (exit code, the report), after checking the report's one text form."""
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2) + "\n"
+    return code, report
 
 
 class TestPlanGroups:
@@ -443,19 +447,12 @@ class TestBenchCli:
         cfg_path = tmp_path / "bench.json"
         cfg_path.write_text(json.dumps(cfg))
         report_path = tmp_path / "report.json"
-        code, got = run_cli(
-            capsys,
-            "bench",
-            "--config", str(cfg_path),
-            "--threads", "1",
-            "--iters", "2",
-            "--warmup", "1",
-            "--report", str(report_path),
-        )
+        argv = ["--config", str(cfg_path), "--threads", "1", "--iters", "2", "--warmup", "1"]
+        code = main(["bench", *argv, "--report", str(report_path)])
+        out = capsys.readouterr().out
         assert code == 0
-        assert got["patches_per_second"] > 0
-        on_disk = json.loads(report_path.read_text())
-        assert on_disk["config_digest"] == got["config_digest"]
+        assert json.loads(out)["patches_per_second"] > 0
+        assert report_path.read_bytes() == out.encode()
 
     def test_extent_overrides_config(self, capsys, tmp_path):
         cfg_path = tmp_path / "bench.json"
@@ -482,6 +479,47 @@ class TestBenchCli:
         env = dict(os.environ, PYTHONPATH=str(Path(pwseg.__file__).resolve().parents[1]))
         done = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60)
         assert done.returncode == 0
+
+
+class TestOneExitPath:
+    """Handlers return their report and ``main`` alone prints it; a closed stdout is not a file error."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["plan-groups", "gen-synthetic"])
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, command, unbuffered):
+        """Stdout is a pipe whose reader has gone: exit 1, nothing on stderr, and the work is done."""
+        argv = {
+            "plan-groups": ["--modalities", "2"],
+            "gen-synthetic": ["--extent", "32x32x32", "--out-prefix", str(tmp_path / "case")],
+        }[command]
+        env = dict(os.environ, PYTHONPATH=str(Path(pwseg.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "pwseg.cli", command, *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
+        if command == "gen-synthetic":
+            written = sorted(p.name for p in tmp_path.iterdir())
+            assert written == ["case_label.vxs", "case_mod1.vxs", "case_mod2.vxs"]
+
+    def test_only_main_prints(self):
+        """``print`` is called only in ``main``, ``json.dumps`` only in the one formatter.
+
+        So a new subcommand cannot bring back an output path of its own.
+        """
+        callers = {"print": set(), "json.dumps": set()}
+        for top in ast.parse(Path(cli.__file__).read_text()).body:
+            where = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in callers:
+                    callers[ast.unparse(node.func)].add(where)
+        assert callers == {"print": {"main"}, "json.dumps": {"_report_text"}}
 
 
 def readme_cli_lines():

@@ -20,7 +20,7 @@ import pytest
 
 from pwseg.analysis import MadInput, mad
 from pwseg.errors import ConfigError, ShapeError
-from pwseg.network import NetworkConfig, attention_stage_flops, build, flop_breakdown, param_count
+from pwseg.network import NetworkConfig, build, flop_breakdown, param_count
 from pwseg.pwa import fit_big_window, pwa_flops, window_schedule
 from pwseg.tensor import max_pool3, spatial_triple
 from pwseg.volume_io import SyntheticSpec, gen_synthetic
@@ -61,7 +61,6 @@ ENTRIES = {
     "build.small_window_minima": (
         (1, 1, 1), lambda t: _built(small_window_minima=(t,) * 4), ConfigError, "stage 1"),
     "flop_breakdown": ((64, 64, 64), lambda t: flop_breakdown(build(CFG, seed=0), t), ShapeError, "extent"),
-    "attention_stage_flops": ((64, 64, 64), lambda t: attention_stage_flops(CFG, t), ShapeError, "extent"),
     "window_schedule.extent": ((24, 24, 24), lambda t: window_schedule(t, (3, 3, 3)), ShapeError, "extent"),
     "window_schedule.big1": ((3, 3, 3), lambda t: window_schedule((24, 24, 24), t), ShapeError, "big1"),
     "window_schedule.small1": (

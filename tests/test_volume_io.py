@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +85,36 @@ class TestFormat:
         t = np.full((1, 1, 1, 1, 1), np.nan, dtype=np.float32)
         with pytest.raises(ValueError):
             write(tmp_path / "nan.vxs", t)
+
+    @pytest.mark.parametrize("form", [str, os.fsencode, Path])
+    def test_path_forms_roundtrip(self, tmp_path, form):
+        t = volume(3, (1, 2, 3, 4, 5))
+        write(form(str(tmp_path / "vol.vxs")), t)
+        got = read(form(str(tmp_path / "vol.vxs")))
+        assert got.tobytes() == t.tobytes() and got.shape == t.shape
+
+    def test_descriptor_refused_and_left_open(self, tmp_path):
+        """An int is not a path: nothing reads it as a volume, and the caller's descriptor stays open."""
+        path = tmp_path / "vol.vxs"
+        write(path, volume(3, (1, 1, 2, 2, 2)))
+        blob = path.read_bytes()
+        fd = os.open(path, os.O_RDWR)
+        try:
+            with pytest.raises(DomainError, match="path must be a str, bytes or os.PathLike, got int"):
+                read(fd)
+            with pytest.raises(DomainError, match="path must be a str, bytes or os.PathLike, got int"):
+                write(fd, volume(4, (1, 1, 2, 2, 2)))
+            os.fstat(fd)
+        finally:
+            os.close(fd)
+        assert path.read_bytes() == blob
+
+    @pytest.mark.parametrize("path", [None, 1.5, True, ["vol.vxs"]], ids=["None", "float", "bool", "list"])
+    def test_not_a_path_refused_before_open(self, path):
+        with pytest.raises(DomainError, match=f"path must .*got {type(path).__name__}"):
+            read(path)
+        with pytest.raises(DomainError, match=f"path must .*got {type(path).__name__}"):
+            write(path, np.full((1, 1, 1, 1, 1), np.nan, dtype=np.float32))
 
 
 class PayloadWriteFails:
