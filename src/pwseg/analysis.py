@@ -1,4 +1,4 @@
-"""Attention-locality analysis, Dice metric, and the throughput benchmark.
+"""Attention-locality analysis and the throughput benchmark.
 
 Mean attention distance (MAD) measures how far an attention head looks: the
 attention-weighted average physical distance between query voxels and the
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,19 +19,18 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .tensor import DTYPE, POSITIVE, count, real, seeded_rng, spatial_triple
+from .errors import DomainError, NonFiniteError, ShapeError
+from .tensor import DTYPE, POSITIVE, count, real, real_array, seeded_rng, spatial_triple
 
 
 @dataclass(frozen=True)
 class MadInput:
     """A row-stochastic attention matrix over a voxel grid with physical spacing.
 
-    Construction checks that the weights are an array (ShapeError for a
-    ragged sequence) of real numbers (DomainError for an object, string or
-    complex array), that rows sum to 1 within 1e-3 and that entries are
-    >= -1e-9; ``weights`` is a read-only float64 view (of the input
-    itself when it is one).
+    Construction checks that the weights are an array of real numbers
+    (:func:`~pwseg.tensor.real_array`, DomainError), that rows sum to 1
+    within 1e-3 and that entries are >= -1e-9; ``weights`` is a read-only
+    float64 view (of the input itself when it is one).
     """
 
     weights: np.ndarray
@@ -38,12 +38,7 @@ class MadInput:
     spacing: float = 1.0
 
     def __post_init__(self):
-        try:
-            w = np.asarray(self.weights)
-        except ValueError as exc:  # a ragged nested sequence
-            raise ShapeError(f"attention weights must be an L x L array: {exc}") from None
-        if w.dtype.kind not in "biuf":
-            raise DomainError(f"attention weights must be real numbers, got dtype {w.dtype}")
+        w = real_array(self.weights, "attention weights", DomainError)
         w = np.ascontiguousarray(w, dtype=np.float64).view()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -71,7 +66,8 @@ def mad(inp: MadInput) -> float:
     pair, so W's [D, H*W, D, H*W] view is folded once per delta, its
     diagonal at that offset against one (H*W) x (H*W) distance table.  The
     result is within a relative 1e-14 of the exact sum (math.fsum) of
-    W * distance, not that sum bit for bit.  ``MadInput`` checked W.
+    W * distance, not that sum bit for bit.  ``MadInput`` checked W;
+    NonFiniteError if the spacing makes the result overflow float64.
     """
     w = inp.weights
     d, h, ww = inp.grid
@@ -84,21 +80,11 @@ def mad(inp: MadInput) -> float:
         np.add((dy + delta * delta)[:, None, :, None], dx[None, :, None, :], out=dist)
         np.sqrt(dist, out=dist)
         total += np.einsum("ab,abz->", dist.reshape(h * ww, h * ww), np.diagonal(w4, delta, 0, 2))
-    return float(total * inp.spacing / w.shape[0])
-
-
-def dice(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Dice overlap 2|P & G| / (|P| + |G|); defined as 1 when both are empty."""
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
-    if pred.shape != gt.shape:
-        raise ShapeError(f"prediction shape {pred.shape} != ground-truth shape {gt.shape}")
-    p = pred.astype(bool)
-    g = gt.astype(bool)
-    denom = int(p.sum()) + int(g.sum())
-    if denom == 0:
-        return 1.0
-    return 2.0 * int(np.logical_and(p, g).sum()) / denom
+    with np.errstate(over="raise"):
+        try:
+            return float(total * inp.spacing / w.shape[0])
+        except FloatingPointError:
+            raise NonFiniteError(f"mean attention distance overflows float64 at spacing {inp.spacing!r}") from None
 
 
 @dataclass
@@ -129,10 +115,14 @@ def bench(cfg, threads: int = 1, iters: int = 10, warmup: int = 1, seed: int = 0
     Runs ``warmup`` discarded forwards, then ``iters`` measured ones on
     ``threads`` worker threads (each iteration is one full patch forward on
     its own input copy).  Wall time uses the monotonic performance counter.
+    DomainError, before anything is built, for more threads than ``os.cpu_count()``.
     """
     from .network import build, flop_breakdown, forward
 
     threads = count(threads, "threads", 1, DomainError)
+    cpus = os.cpu_count() or 1
+    if threads > cpus:
+        raise DomainError(f"threads must be at most os.cpu_count() = {cpus}, got {threads}")
     iters = count(iters, "iters", 1, DomainError)
     warmup = count(warmup, "warmup", 1, DomainError)
     net = build(cfg, seed=seed)

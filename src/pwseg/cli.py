@@ -85,8 +85,11 @@ def _given(args, *names) -> dict:
 
 
 def _report_text(report: dict) -> str:
-    """A report as ``main`` prints it and ``bench --report`` writes it: one JSON document, two-space indent."""
-    return json.dumps(report, indent=2)
+    """A report as ``main`` prints it and ``bench --report`` writes it: one JSON document, two-space indent.
+
+    NaN and infinity are not JSON (RFC 8259), so a non-finite number in a report is a bug and raises ValueError.
+    """
+    return json.dumps(report, indent=2, allow_nan=False)
 
 
 def _cmd_plan_groups(args) -> dict:
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="forward throughput measurement")
     p.add_argument("--config", required=True)
     p.add_argument("--extent", type=parse_extent)
-    p.add_argument("--threads", type=int, help="forward worker threads; BLAS runs one thread per worker")
+    p.add_argument("--threads", type=int, help="forward worker threads (at most the CPU count), one BLAS thread each")
     p.add_argument("--iters", type=int)
     p.add_argument("--warmup", type=int)
     p.add_argument("--seed", type=int)

@@ -22,7 +22,7 @@ class ScheduleError(ShapeError):
 
 
 class NonFiniteError(PwsegError):
-    """An input tensor holds NaN or infinite values."""
+    """An input tensor holds NaN or infinite values, or a finite input overflows the float range."""
 
 
 class ConfigError(PwsegError):

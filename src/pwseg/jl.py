@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NonFiniteError
 from .tensor import POSITIVE, count, real
 
 MEDICAL3D_VOLUME_RATIOS = (4**3, 8**3, 16**3, 32**3)
@@ -46,10 +46,14 @@ def group_size_bound(modalities: int, volume_ratio: int, alpha: float) -> float:
     """Lower bound alpha * ln(modalities * volume_ratio) on channels per group.
 
     Monotone nondecreasing in every argument and exactly linear in alpha.
+    NonFiniteError if the bound overflows a float.
     """
     modalities = count(modalities, "modalities", 1, DomainError)
     volume_ratio = count(volume_ratio, "volume_ratio", 1, DomainError)
-    return real(alpha, "alpha", POSITIVE, DomainError) * math.log(modalities * volume_ratio)
+    bound = real(alpha, "alpha", POSITIVE, DomainError) * math.log(modalities * volume_ratio)
+    if math.isinf(bound):  # a Python float overflows without an error
+        raise NonFiniteError(f"group size bound alpha * ln({modalities * volume_ratio}) overflows at alpha {alpha!r}")
+    return bound
 
 
 def plan_stages(modalities: int, n: int = 4, alpha: float = 1.0, profile: str = "medical3d") -> GroupPlan:

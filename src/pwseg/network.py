@@ -20,7 +20,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .jlc import DEFAULT_KERNELS, JlcBlockParams, branch_channel_split, build_jlc_block, jlc_forward
 from .pwa import (
     PwaParams,
@@ -42,6 +42,7 @@ from .tensor import (
     layer_norm,
     param_count,  # noqa: F401  (re-exported: pwseg.network.param_count)
     pointwise_conv,
+    real_array,
     require_finite,
     seeded_rng,
     spatial_triple,
@@ -381,7 +382,7 @@ def forward(net: Network, volumes) -> np.ndarray:
     Inputs are M arrays of shape [1, D, H, W] matching the configured extent;
     the output is [num_classes, D, H, W].  Deterministic given (net, inputs).
     ConfigError unless ``net`` is a ``Network``; ShapeError unless ``volumes``
-    has a length.
+    has a length; DomainError unless each volume is real (``tensor.real_array``).
     """
     _require(net, Network, "forward")
     cfg = net.config
@@ -396,7 +397,7 @@ def forward(net: Network, volumes) -> np.ndarray:
     expected = (1, *cfg.input_extent)
     vols = []
     for m, v in enumerate(volumes):
-        v = np.asarray(v, dtype=DTYPE)
+        v = np.asarray(real_array(v, f"modality {m} volume", DomainError), dtype=DTYPE)
         if v.shape != expected:
             raise ShapeError(
                 f"modality {m}: volume shape {v.shape} != {expected} (network built for extent "

@@ -29,6 +29,7 @@ from .tensor import (
     layer_norm,
     max_pool3,
     pointwise_conv,
+    real_array,
     softmax_rows,
     spatial_triple,
 )
@@ -248,7 +249,7 @@ class PwaParams:
 
     Projections map the stage width C to n_win * n_head * c_hat channels;
     the mixer maps them back to C.  One dense (M*L) x (M*L) position-bias
-    table per window pair, shared by all big windows of that pair.
+    table per window pair, shared by all big windows of that pair (real, finite).
     """
 
     q_proj: ConvParams
@@ -269,7 +270,7 @@ class PwaParams:
                     f"{self.q_proj.c_out}, a multiple of n_win*n_head = {per_head}"
                 )
         for i, table in enumerate(self.pos_bias):
-            if not np.all(np.isfinite(table)):
+            if not np.all(np.isfinite(real_array(table, f"position bias table {i}", ConfigError))):
                 raise ConfigError(f"position bias table {i} contains non-finite values")
 
     @property

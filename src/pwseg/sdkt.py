@@ -10,10 +10,13 @@ counts this objective is exactly MMD^2 with the kernel (u^T v)^2 scaled by
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
+
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .tensor import real
+from .errors import DomainError, NonFiniteError, ShapeError
+from .tensor import real, real_array
 
 # Per float type the Gram computes in: how many channels one 64-bit key word
 # holds, and the mask that keeps their sign and mantissa bits.  The exponents
@@ -24,29 +27,44 @@ _KEY_WORD = {
 }
 
 
-def _as_matrix(x: np.ndarray) -> np.ndarray:
-    """Flatten [C, D, H, W] (or [C, N]) features to a C x N sample matrix."""
-    x = np.asarray(x)
+def _as_matrix(x, what: str = "features") -> np.ndarray:
+    """Flatten [C, D, H, W] (or [C, N]) real features (DomainError naming ``what``) to a C x N sample matrix.
+
+    Promoted as ``np.result_type(dtype, np.float32)``, so no bool or small-int product wraps or saturates.
+    """
+    x = real_array(x, what, DomainError)
     if x.ndim < 2:
-        raise ShapeError(f"feature tensor must have a channel axis plus voxels, got rank {x.ndim}")
+        raise ShapeError(f"{what} must have a channel axis plus voxels, got rank {x.ndim}")
     if x.size == 0:
-        raise ShapeError(f"feature tensor of shape {x.shape} has no channels or no voxels")
-    return x.reshape(x.shape[0], -1)
+        raise ShapeError(f"{what} of shape {x.shape} has no channels or no voxels")
+    m = x.reshape(x.shape[0], -1)
+    return m.astype(np.result_type(m.dtype, np.float32), copy=False)
+
+
+@contextmanager
+def _finite(what: str):
+    """Float overflow or an invalid operation in the block raises NonFiniteError led by ``what``, not inf or NaN.
+
+    Nested blocks name the outermost first: a teacher's Gram that overflows names the teacher, then the Gram.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, NonFiniteError) as exc:
+        raise NonFiniteError(f"{what}: {exc}") from None
 
 
 def _column_major(m: np.ndarray) -> np.ndarray:
-    """Copy the C x N matrix ``m`` to t = [N, C'] in float32 or float64.
+    """Copy the C x N matrix ``m`` (of at least float32, see :func:`_as_matrix`) to t = [N, C'].
 
-    Other real dtypes are promoted as ``np.result_type(dtype, np.float32)``.
     C' rounds C up to whole 64-bit words (even for float32), and the pad
     column is zero, so ``t.view(np.uint64)`` holds each column's key words.
     """
-    dtype = np.result_type(m.dtype, np.float32) if m.dtype.kind in "biuf" else m.dtype
-    if dtype not in _KEY_WORD:
+    if m.dtype not in _KEY_WORD:
         raise DomainError(f"gram needs real features of at most 64 bits, got dtype {m.dtype}")
     c, n = m.shape
-    per = _KEY_WORD[dtype][0]
-    t = np.empty((n, -(-c // per) * per), dtype=dtype)
+    per = _KEY_WORD[m.dtype][0]
+    t = np.empty((n, -(-c // per) * per), dtype=m.dtype)
     t[:, :c] = m.T
     t[:, c:] = 0
     return t
@@ -105,14 +123,16 @@ def gram(x: np.ndarray) -> np.ndarray:
     voxel index share one word, so one sort gives the order.  Equal keys on
     bit-identical voxels are harmless in any order; if two distinct voxels
     share the top bits of a key, the voxels are lexsorted instead.  The
-    product gathers whole rows of t in that order.
+    product gathers whole rows of t in that order.  A product that
+    overflows the float type raises NonFiniteError.
     """
     m = _as_matrix(x)
     c, n = m.shape
     t = _column_major(m)
     s = np.take(t, _canonical_order(t), axis=0)[:, :c]
-    g = (s.T @ s) / (c * n)
-    return (g + g.T) * 0.5  # exact symmetry despite BLAS rounding
+    with _finite("Gram product"):
+        g = (s.T @ s) / (c * n)
+        return (g + g.T) * 0.5  # exact symmetry despite BLAS rounding
 
 
 def _checked_teachers(channels: int, teachers) -> list:
@@ -130,7 +150,7 @@ def _checked_teachers(channels: int, teachers) -> list:
         if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
             raise ShapeError(f"teacher {t} must be a (features, weight) pair, got a {type(entry).__name__}")
         feat, weight = entry
-        c = _as_matrix(feat).shape[0]
+        c = _as_matrix(feat, f"teacher {t} features").shape[0]
         if c != channels:
             raise ShapeError(f"teacher {t} has {c} channels, segmentation features have {channels}")
         checked.append((feat, real(weight, f"teacher {t} weight", 0, DomainError)))
@@ -138,16 +158,23 @@ def _checked_teachers(channels: int, teachers) -> list:
 
 
 def _teacher_pass(d_seg: np.ndarray, teachers):
-    """(seg matrix, sum w*||G_t - G_s||^2, sum w*(G_s - G_t)): the seg Gram, then each teacher's once."""
-    m = _as_matrix(d_seg)
+    """(seg matrix, sum w*||G_t - G_s||^2, sum w*(G_s - G_t)): the seg Gram, then each teacher's once.
+
+    NonFiniteError naming the segmentation features or the teacher if a float overflows on the way.
+    """
+    m = _as_matrix(d_seg, "segmentation features")
     checked = _checked_teachers(m.shape[0], teachers)
-    g_seg = gram(d_seg)
+    with _finite("segmentation features"):
+        g_seg = gram(d_seg)
     loss = 0.0
     acc = np.zeros_like(g_seg)
-    for feat, weight in checked:
-        gap = gram(feat) - g_seg
-        loss += weight * float(np.sum(gap * gap))
-        acc -= weight * gap
+    for t, (feat, weight) in enumerate(checked):
+        with _finite(f"teacher {t}"):
+            gap = gram(feat) - g_seg
+            loss += weight * float(np.sum(gap * gap))
+            if math.isinf(loss):  # a Python float overflows without a flag
+                raise FloatingPointError("overflow encountered in the weighted loss")
+            acc -= weight * gap
     return m, loss, acc
 
 
@@ -179,8 +206,8 @@ def mmd_poly2(x: np.ndarray, y: np.ndarray) -> float:
     Voxel positions are the samples (columns); the biased V-statistic
     estimator averages the kernel over all pairs including self-pairs.
     """
-    mx = _as_matrix(x)
-    my = _as_matrix(y)
+    mx = _as_matrix(x, "x features")
+    my = _as_matrix(y, "y features")
     if mx.shape[0] != my.shape[0]:
         raise ShapeError(f"channel counts differ: {mx.shape[0]} vs {my.shape[0]}")
     kxx = np.square(mx.T @ mx)

@@ -15,7 +15,7 @@ keeps one logits buffer per chunk and three sequence batches per layer, and each
 GELU runs in the buffer its caller just made.
 
 The argument parsers live here too: :func:`spatial_triple` for (D, H, W) triples,
-:func:`count` for counts and :func:`real` for real scalars.
+:func:`count` for counts, :func:`real` for real scalars and :func:`real_array` for arrays.
 """
 
 from __future__ import annotations
@@ -64,6 +64,20 @@ def real(value, what: str, minimum: float, error: type) -> float:
     return float(value)
 
 
+def real_array(value, what: str, error: type) -> np.ndarray:
+    """``np.asarray(value)``, not copied or cast; ``error`` naming ``what`` unless its dtype is bool, int or float.
+
+    So no later cast drops an imaginary part.  A ragged nested sequence raises ShapeError naming ``what``.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # a ragged nested sequence
+        raise ShapeError(f"{what} must be a rectangular array: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{what} must be real numbers, got dtype {arr.dtype}")
+    return arr
+
+
 def seeded_rng(seed) -> np.random.Generator:
     """``np.random.default_rng(seed)``; DomainError naming the seed unless it is an integer >= 0."""
     return np.random.default_rng(count(seed, "seed", 0, DomainError))
@@ -105,7 +119,7 @@ class ConvParams:
     stride s > 1 the kernel equals s and the conv is a non-overlapping
     patchify (``network.downsample_conv``).  ``groups`` is the number of
     channel groups (torch convention: group g's output channels read only
-    group g's input channels).  Weights and bias must be finite, so a
+    group g's input channels).  Weights and bias must be real and finite, so a
     padding-only tap that :func:`conv3d` skips would have added only zeros.
     """
 
@@ -115,7 +129,7 @@ class ConvParams:
     stride: int = 1
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weight, dtype=DTYPE)
+        w = np.ascontiguousarray(real_array(self.weight, "conv weight", ConfigError), dtype=DTYPE)
         object.__setattr__(self, "weight", w)
         if w.ndim != 5:
             raise ConfigError(f"conv weight must be rank 5, got rank {w.ndim}")
@@ -130,7 +144,7 @@ class ConvParams:
         if self.c_out % self.groups != 0:
             raise ConfigError(f"output channels {self.c_out} not divisible by groups {self.groups}")
         if self.bias is not None:
-            b = np.ascontiguousarray(self.bias, dtype=DTYPE)
+            b = np.ascontiguousarray(real_array(self.bias, "conv bias", ConfigError), dtype=DTYPE)
             object.__setattr__(self, "bias", b)
             if b.shape != (self.c_out,):
                 raise ConfigError(f"bias shape {b.shape} != ({self.c_out},)")

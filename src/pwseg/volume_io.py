@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedVersionError,
     VolumeFormatError,
 )
-from .tensor import DTYPE, POSITIVE, SPATIAL_AXES, count, real, require_finite, seeded_rng, spatial_triple
+from .tensor import DTYPE, POSITIVE, SPATIAL_AXES, count, real, real_array, require_finite, seeded_rng, spatial_triple
 
 MAGIC = b"VXSG"
 VERSION = 1
@@ -45,8 +45,8 @@ def _file_path(path):
 
 
 def _as_tensor5(data) -> np.ndarray:
-    """Coerce ``data`` to a contiguous rank-5 float32 array."""
-    arr = np.ascontiguousarray(data, dtype=DTYPE)
+    """Coerce ``data``, an array of real numbers (DomainError otherwise), to a contiguous rank-5 float32 array."""
+    arr = np.ascontiguousarray(real_array(data, "volume payload", DomainError), dtype=DTYPE)
     if arr.ndim != 5:
         raise ShapeError(f"expected rank-5 [M, C, D, H, W] array, got rank {arr.ndim}")
     return arr
@@ -60,9 +60,9 @@ def write(path, t: np.ndarray) -> None:
     the header goes out with a zero magic, then the payload, then a longer
     file is cut to its new size and the magic is written last, so ``read``
     refuses a write that was interrupted.  Any other destination (a FIFO,
-    ``/dev/null``) gets the header, magic included, then the payload.  A
-    non-finite payload, or a ``path`` that is not a path (DomainError), is
-    refused before the file is opened.
+    ``/dev/null``) gets the header, magic included, then the payload.  A payload
+    that is not real (DomainError) or not finite, or a ``path`` that is not a
+    path (DomainError), is refused before the file is opened.
     """
     path = _file_path(path)
     t = _as_tensor5(t)

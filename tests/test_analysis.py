@@ -1,4 +1,4 @@
-"""Mean-attention-distance, Dice, and benchmark harness tests."""
+"""Mean-attention-distance and benchmark harness tests."""
 
 import math
 import re
@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pwseg.analysis import BenchReport, MadInput, bench, dice, mad
-from pwseg.errors import ConfigError, DomainError, ShapeError
+from pwseg.analysis import BenchReport, MadInput, bench, mad
+from pwseg.errors import ConfigError, DomainError, NonFiniteError, ShapeError
 from pwseg.network import NetworkConfig, conv_only
 
 
@@ -197,7 +197,7 @@ class TestMad:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             MadInput(np.eye(7), (2, 2, 2))
-        with pytest.raises(ShapeError, match="must be an L x L array"):
+        with pytest.raises(ShapeError, match="attention weights must be a rectangular array"):
             MadInput([[0.5, 0.5], [1.0]], (1, 1, 2))
 
     @pytest.mark.parametrize(
@@ -230,31 +230,12 @@ class TestMad:
         with pytest.raises(DomainError, match="spacing"):
             MadInput(np.eye(8), (2, 2, 2), spacing=spacing)
 
-
-class TestDice:
-    def test_perfect_overlap(self):
-        a = np.zeros((4, 4, 4), dtype=bool)
-        a[1:3] = True
-        assert dice(a, a.copy()) == 1.0
-
-    def test_disjoint(self):
-        a = np.zeros(8, dtype=bool)
-        b = np.zeros(8, dtype=bool)
-        a[0] = True
-        b[1] = True
-        assert dice(a, b) == 0.0
-
-    def test_half_overlap(self):
-        pred = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.float32)
-        gt = np.array([0, 0, 1, 1, 1, 1, 0, 0], dtype=np.float32)
-        assert dice(pred, gt) == pytest.approx(0.5)
-
-    def test_both_empty(self):
-        assert dice(np.zeros(5), np.zeros(5)) == 1.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            dice(np.zeros(4), np.zeros(5))
+    def test_overflowing_distance(self):
+        """Distances up to sqrt(3) times a finite spacing of 1.7e308 overflow float64: a named error, not inf."""
+        w = np.full((8, 8), 0.125)
+        assert math.isfinite(mad(MadInput(w, (2, 2, 2), spacing=1e300)))
+        with pytest.raises(NonFiniteError, match=re.escape("overflows float64 at spacing 1.7e+308")):
+            mad(MadInput(w, (2, 2, 2), spacing=1.7e308))
 
 
 TINY = NetworkConfig(

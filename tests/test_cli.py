@@ -281,6 +281,24 @@ class TestErrorExit:
         assert code == 2 and len(lines) == 1
         assert lines[0].startswith("error:") and "alpha" in lines[0]
 
+    @pytest.mark.parametrize("case", ["sdkt-gap", "sdkt-gram", "plan-groups", "mad"])
+    def test_overflow_is_one_error_line(self, capsys, tmp_path, case):
+        """A finite input whose result overflows exits 2 and prints no report: NaN and infinity are not JSON."""
+        seg, teacher, weights = (tmp_path / name for name in ("seg.vxs", "t.vxs", "w.vxs"))
+        volume_io.write(seg, np.ones((1, 2, 2, 2, 2), dtype=np.float32))
+        volume_io.write(teacher, np.full((1, 2, 2, 2, 2), 1e18 if case == "sdkt-gap" else 1e19, dtype=np.float32))
+        volume_io.write(weights, np.full((1, 1, 1, 8, 8), 0.125, dtype=np.float32))
+        argv, message = {
+            "sdkt-gap": (["sdkt-loss", "--seg", str(seg), "--teacher", str(teacher)], "teacher 0: overflow"),
+            "sdkt-gram": (["sdkt-loss", "--seg", str(seg), "--teacher", str(teacher)], "teacher 0: Gram product"),
+            "plan-groups": (["plan-groups", "--modalities", "2", "--alpha", "1e308"], "overflows at alpha"),
+            "mad": (["mad", "--weights", str(weights), "--grid", "2x2x2", "--spacing", "1.7e308"], "overflows"),
+        }[case]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
     def test_mistyped_config_field(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(TINY_CONFIG, modalities="2")))
@@ -472,6 +490,13 @@ class TestBenchCli:
         )
         assert code == 0 and got["threads"] == 1
         assert os.environ["OMP_NUM_THREADS"] == "1"
+
+    def test_threads_above_cpu_count(self, capsys, monkeypatch, tiny_config_path):
+        """Refused with one error line before anything is built, so no thread starts."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr("pwseg.network.build", lambda *a, **kw: pytest.fail("built before the check"))
+        code, lines = run_cli_error(capsys, "bench", "--config", tiny_config_path, "--threads", "2")
+        assert code == 2 and lines == ["error: threads must be at most os.cpu_count() = 1, got 2"]
 
     def test_cli_import_leaves_numpy_unloaded(self):
         """The pinning only takes effect if numpy loads after it."""

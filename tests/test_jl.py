@@ -1,12 +1,13 @@
 """Group-size planner tests: bounds, published tables, head sizing."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwseg.errors import ConfigError, DomainError
+from pwseg.errors import ConfigError, DomainError, NonFiniteError
 from pwseg.jl import (
     MEDICAL3D_VOLUME_RATIOS,
     NATURAL2D_VOLUME_RATIOS,
@@ -52,6 +53,12 @@ class TestGroupSizeBound:
     def test_non_finite_alpha(self, alpha):
         with pytest.raises(DomainError, match="alpha"):
             group_size_bound(2, 8, alpha)
+
+    def test_overflowing_bound(self):
+        """alpha * ln(128) overflows a float at alpha 1e308: a named error, not an infinite bound."""
+        assert math.isfinite(group_size_bound(2, 64, 1e300))
+        with pytest.raises(NonFiniteError, match=re.escape("alpha * ln(128) overflows at alpha 1e+308")):
+            group_size_bound(2, 64, 1e308)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 10**6), st.floats(0.01, 50.0))

@@ -10,6 +10,7 @@ raises ConfigError naming the field and showing the value too.
 """
 
 import math
+import os
 import re
 from dataclasses import replace
 
@@ -147,6 +148,14 @@ def test_integral_values_read_as_plain_ints(entry):
     good, call, _, _, _ = {**COUNTS, **REALS}[entry]
     want = repr(call(good))
     assert repr(call(float(good))) == want and repr(call(np.int64(good))) == want
+
+
+def test_bench_threads_capped_at_cpu_count(monkeypatch):
+    """More threads than CPUs is refused, naming both numbers, before anything is built or any thread starts."""
+    monkeypatch.setattr(network, "build", lambda *a, **kw: pytest.fail("built before the check"))
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    with pytest.raises(DomainError, match=re.escape("threads must be at most os.cpu_count() = 1, got 2")):
+        bench(TINY, threads=2, iters=1, warmup=1)
 
 
 @pytest.mark.parametrize("profile", [["medical3d"], ("medical3d",), None, 3, b"medical3d", "mri"])

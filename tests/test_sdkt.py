@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwseg import sdkt
-from pwseg.errors import DomainError, ShapeError
+from pwseg.errors import DomainError, NonFiniteError, ShapeError
 from pwseg.sdkt import gram, mmd_poly2, sdkt_grad, sdkt_loss
 
 
@@ -336,7 +336,7 @@ class TestDtypes:
                              ids=["gram", "sdkt_loss", "sdkt_grad"])
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128, object])
     def test_non_real_rejected(self, fn, dtype):
-        with pytest.raises(DomainError, match="real features"):
+        with pytest.raises(DomainError, match="features must be real numbers, got dtype"):
             fn(np.ones((3, 4), dtype=dtype))
 
 
@@ -534,3 +534,44 @@ class TestMmd:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             mmd_poly2(np.zeros((2, 4)), np.zeros((3, 4)))
+
+
+class TestOverflow:
+    """Finite features whose loss or Gram overflows their float type raise NonFiniteError naming where."""
+
+    SEG = np.random.default_rng(13).standard_normal((2, 2, 2, 2)).astype(np.float32)
+
+    @pytest.mark.parametrize("scale, step", [(1e18, "overflow encountered in multiply"),
+                                             (1e19, "Gram product: overflow encountered in matmul")],
+                             ids=["gap", "gram"])
+    @pytest.mark.parametrize("fn", [sdkt_loss, sdkt_grad], ids=["sdkt_loss", "sdkt_grad"])
+    def test_teacher_named(self, fn, scale, step):
+        """At 1e18 each float32 Gram is finite (1e36) but the squared gap is not; at 1e19 the Gram is not."""
+        teachers = [(self.SEG, 1.0), (np.full_like(self.SEG, scale), 0.5)]
+        with pytest.raises(NonFiniteError, match=re.escape(f"teacher 1: {step}")):
+            fn(self.SEG, teachers)
+
+    def test_segmentation_features_named(self):
+        with pytest.raises(NonFiniteError, match=re.escape("segmentation features: Gram product: overflow")):
+            sdkt_loss(np.full_like(self.SEG, 1e19), [(self.SEG, 1.0)])
+
+    def test_gram(self):
+        with pytest.raises(NonFiniteError, match=re.escape("Gram product: overflow encountered in matmul")):
+            gram(np.full((3, 5), 1e20, dtype=np.float32))
+
+    def test_weighted_loss(self):
+        """A weight that overflows the Python float sum is caught too, though it raises no float flag."""
+        x = np.ones((2, 4))
+        with pytest.raises(NonFiniteError, match=re.escape("teacher 0: overflow encountered in the weighted loss")):
+            sdkt_loss(x, [(np.full_like(x, 1e8), 1e300)])
+
+    def test_error_state_restored(self):
+        before = np.geterr()
+        with pytest.raises(NonFiniteError):
+            sdkt_loss(self.SEG, [(np.full_like(self.SEG, 1e18), 1.0)])
+        assert np.geterr() == before
+
+    def test_finite_just_below(self):
+        """At 1e8 the loss is finite and the float32 gap is exact enough to be positive."""
+        loss = sdkt_loss(self.SEG, [(np.full_like(self.SEG, 1e8), 1.0)])
+        assert np.isfinite(loss) and loss > 0
