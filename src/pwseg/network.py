@@ -35,6 +35,7 @@ from .tensor import (
     DTYPE,
     SPATIAL_AXES,
     ConvParams,
+    as_dtype,
     count,
     gelu,
     init_conv,
@@ -183,14 +184,36 @@ def conv_only(cfg: NetworkConfig) -> NetworkConfig:
     return replace(cfg, attention_depth=(0,) * N_STAGES)
 
 
-# Bytes of patch columns that ``downsample_conv`` builds at a time: 2 MiB,
-# the per-core L2 size of the x86 server cores it was tuned on, so a slab's
-# columns are still cached when its matmul reads them.  At the default
-# widths every stage downsample of an input up to 128^3 fits in one slab;
-# only the stem's calls are split.  Do not shrink it: OpenBLAS rounds
-# products over narrow column blocks (seen at 24, 36 and 100 columns)
-# differently from the whole product.
+# Bytes of a slab: 2 MiB, the per-core L2 size of the x86 server cores this
+# was tuned on, so what a slab's first pass writes is still cached when the
+# next pass reads it.  It sizes the stem's slabs of whole patch_stride
+# z-plane groups (``_stem_slabs``: the mixed tensor of one slab) and the
+# patch columns ``downsample_conv`` builds at a time.  The two counts are
+# equal, because a group's mixed tensor is the columns of one output plane,
+# so each stem slab is one product of the conv-stream patch embed.  At the
+# default widths that loop then splits only the whole-volume attention patch
+# embeds; every stage downsample of an input up to 128^3 fits in one slab.
+# Do not shrink it: OpenBLAS rounds products over narrow column blocks (seen
+# at 24, 36 and 100 columns) differently from the whole product.
 _SLAB_BYTES = 2 * 1024 * 1024
+
+
+def _slab_planes(plane_bytes: int, planes: int) -> int:
+    """Planes per slab: as many as keep it within ``_SLAB_BYTES``, at least one and at most ``planes``."""
+    return min(planes, max(1, _SLAB_BYTES // plane_bytes))
+
+
+def _stem_slabs(cfg: NetworkConfig) -> list[tuple[int, int]]:
+    """The input z-ranges ``[z0, z1)`` of the stem's slabs at the config's extent, in order.
+
+    A slab is as many whole ``patch_stride`` z-plane groups as keep its
+    mixed tensor (``stage_widths[0]`` channels in ``DTYPE``) within
+    ``_SLAB_BYTES``, at least one; the last slab holds what is left.
+    """
+    s = cfg.patch_stride
+    d, h, w = cfg.input_extent
+    step = s * _slab_planes(cfg.stage_widths[0] * s * h * w * np.dtype(DTYPE).itemsize, d // s)
+    return [(z0, min(z0 + step, d)) for z0 in range(0, d, step)]
 
 
 def downsample_conv(x: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -218,7 +241,7 @@ def downsample_conv(x: np.ndarray, p: ConvParams) -> np.ndarray:
     weight = p.weight.reshape(p.c_out, -1)
     k = weight.shape[1]
     out = np.empty((p.c_out, nd, nh * nw), dtype=DTYPE)
-    planes = min(nd, max(1, _SLAB_BYTES // (k * nh * nw * out.itemsize)))
+    planes = _slab_planes(k * nh * nw * out.itemsize, nd)
     buf = np.empty(k * planes * nh * nw, dtype=DTYPE)
     x7 = x.reshape(c_in, nd, s, nh, s, nw, s)
     for z0 in range(0, nd, planes):
@@ -382,7 +405,8 @@ def forward(net: Network, volumes) -> np.ndarray:
     Inputs are M arrays of shape [1, D, H, W] matching the configured extent;
     the output is [num_classes, D, H, W].  Deterministic given (net, inputs).
     ConfigError unless ``net`` is a ``Network``; ShapeError unless ``volumes``
-    has a length; DomainError unless each volume is real (``tensor.real_array``).
+    has a length; DomainError unless each volume is real (``tensor.real_array``);
+    NonFiniteError unless its values are finite and within float32's range.
     """
     _require(net, Network, "forward")
     cfg = net.config
@@ -397,13 +421,13 @@ def forward(net: Network, volumes) -> np.ndarray:
     expected = (1, *cfg.input_extent)
     vols = []
     for m, v in enumerate(volumes):
-        v = np.asarray(real_array(v, f"modality {m} volume", DomainError), dtype=DTYPE)
-        if v.shape != expected:
+        given = real_array(v, f"modality {m} volume", DomainError)
+        if given.shape != expected:
             raise ShapeError(
-                f"modality {m}: volume shape {v.shape} != {expected} (network built for extent "
+                f"modality {m}: volume shape {given.shape} != {expected} (network built for extent "
                 f"{cfg.input_extent})"
             )
-        vols.append(require_finite(v, f"modality {m} volume"))
+        vols.append(require_finite(as_dtype(given), f"modality {m} volume", source=given))
 
     jx, px = _stem_forward(net, vols)
     skips = []
@@ -433,14 +457,26 @@ def forward(net: Network, volumes) -> np.ndarray:
 def _stem_forward(net: Network, vols: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Modal mixer, GELU and patch embeds: the conv stream input and the attention stream inputs.
 
-    The concatenated volumes and the full-resolution mixed tensor live only
-    here, so they are freed before stage 1 runs.  GELU overwrites the
-    mixer's fresh output, so the stem holds one full-resolution buffer.
+    The concatenation, the modal mixer, GELU and the conv-stream patch embed
+    (and under ``early_fusion`` the attention one) run once per slab of
+    :func:`_stem_slabs`, and each writes its z-slice of the patch-embedded
+    output, so a slab's mixed tensor is still cached when the next pass
+    reads it and no full-resolution mixed tensor is made.  A slab is whole
+    patch embeds, so the outputs are those of the whole-volume stem.  The
+    attention patch embeds of separate modalities read the volumes whole.
     """
-    mixed = gelu(pointwise_conv(np.concatenate(vols, axis=0), net.modal_mixer))
-    jx = downsample_conv(mixed, net.jlc_embed)
-    if net.config.early_fusion:
-        return jx, [downsample_conv(mixed, net.pwa_embed)]
+    cfg = net.config
+    s = cfg.patch_stride
+    coarse = tuple(e // s for e in cfg.input_extent)
+    jx = np.empty((net.jlc_embed.c_out, *coarse), dtype=DTYPE)
+    px = np.empty((net.pwa_embed.c_out, *coarse), dtype=DTYPE) if cfg.early_fusion else None
+    for z0, z1 in _stem_slabs(cfg):
+        mixed = gelu(pointwise_conv(np.concatenate([v[:, z0:z1] for v in vols], axis=0), net.modal_mixer))
+        jx[:, z0 // s : z1 // s] = downsample_conv(mixed, net.jlc_embed)
+        if px is not None:
+            px[:, z0 // s : z1 // s] = downsample_conv(mixed, net.pwa_embed)
+    if px is not None:
+        return jx, [px]
     return jx, [downsample_conv(v, net.pwa_embed) for v in vols]
 
 
@@ -502,10 +538,16 @@ def _walk(net: Network, extent=None):
         callee = "downsample_conv" if p.stride > 1 else "pointwise_conv"
         return group, callee, p, (p.c_in, *e), _conv_flops(prod(e) // p.stride**3, p)
 
-    yield conv("stem", net.modal_mixer, extent)
-    yield "stem", "gelu", None, (net.modal_mixer.c_out, *extent), net.modal_mixer.c_out * prod(extent)
-    yield conv("stem", net.jlc_embed, extent)
-    yield from [conv("stem", net.pwa_embed, extent)] * m_att
+    c1 = net.modal_mixer.c_out
+    for z0, z1 in _stem_slabs(cfg):
+        slab = (z1 - z0, *extent[1:])
+        yield conv("stem", net.modal_mixer, slab)
+        yield "stem", "gelu", None, (c1, *slab), c1 * prod(slab)
+        yield conv("stem", net.jlc_embed, slab)
+        if cfg.early_fusion:
+            yield conv("stem", net.pwa_embed, slab)
+    if not cfg.early_fusion:
+        yield from [conv("stem", net.pwa_embed, extent)] * m_att
     for k, (stage, sched) in enumerate(zip(net.stages, cfg.stage_schedules)):
         e = sched.extent
         c, n = cfg.stage_widths[k], prod(e)

@@ -205,12 +205,14 @@ def mmd_poly2(x: np.ndarray, y: np.ndarray) -> float:
 
     Voxel positions are the samples (columns); the biased V-statistic
     estimator averages the kernel over all pairs including self-pairs.
+    A kernel that overflows raises NonFiniteError, not inf.
     """
     mx = _as_matrix(x, "x features")
     my = _as_matrix(y, "y features")
     if mx.shape[0] != my.shape[0]:
         raise ShapeError(f"channel counts differ: {mx.shape[0]} vs {my.shape[0]}")
-    kxx = np.square(mx.T @ mx)
-    kyy = np.square(my.T @ my)
-    kxy = np.square(mx.T @ my)
-    return float(kxx.mean() + kyy.mean() - 2.0 * kxy.mean())
+    with _finite("MMD kernel"):
+        kxx = np.square(mx.T @ mx)
+        kyy = np.square(my.T @ my)
+        kxy = np.square(mx.T @ my)
+        return float(kxx.mean() + kyy.mean() - 2.0 * kxy.mean())

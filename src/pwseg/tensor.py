@@ -95,10 +95,26 @@ def spatial_triple(triple, what: str) -> tuple[int, int, int]:
     return tuple(map(int, entries))
 
 
-def require_finite(arr: np.ndarray, what: str = "tensor") -> np.ndarray:
-    """Return ``arr`` unchanged; raise NonFiniteError if it holds NaN or Inf."""
+def as_dtype(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a C-contiguous ``DTYPE`` array; a finite value beyond ``DTYPE``'s range becomes inf without a warning.
+
+    Pass ``arr`` as the ``source`` of :func:`require_finite`, which names such a value.
+    """
+    with np.errstate(over="ignore"):
+        return np.ascontiguousarray(arr, dtype=DTYPE)
+
+
+def require_finite(arr: np.ndarray, what: str = "tensor", error: type = NonFiniteError, source=None) -> np.ndarray:
+    """Return ``arr`` unchanged; raise ``error`` naming ``what`` if it holds NaN or Inf.
+
+    ``source`` is the array ``arr`` was cast from (:func:`as_dtype`).  It is
+    read only when the check fails, to tell finite values beyond the range of
+    ``arr``'s dtype from non-finite ones.
+    """
     if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{what} contains non-finite values")
+        if source is not None and np.isfinite(source).all():
+            raise error(f"{what} holds finite values beyond the {arr.dtype} range")
+        raise error(f"{what} contains non-finite values")
     return arr
 
 
@@ -129,7 +145,8 @@ class ConvParams:
     stride: int = 1
 
     def __post_init__(self):
-        w = np.ascontiguousarray(real_array(self.weight, "conv weight", ConfigError), dtype=DTYPE)
+        weight = real_array(self.weight, "conv weight", ConfigError)
+        w = as_dtype(weight)
         object.__setattr__(self, "weight", w)
         if w.ndim != 5:
             raise ConfigError(f"conv weight must be rank 5, got rank {w.ndim}")
@@ -143,14 +160,16 @@ class ConvParams:
             raise ConfigError(f"strided conv needs kernel == stride {self.stride}, got kernel {self.kernel}")
         if self.c_out % self.groups != 0:
             raise ConfigError(f"output channels {self.c_out} not divisible by groups {self.groups}")
+        bias = None
         if self.bias is not None:
-            b = np.ascontiguousarray(real_array(self.bias, "conv bias", ConfigError), dtype=DTYPE)
+            bias = real_array(self.bias, "conv bias", ConfigError)
+            b = as_dtype(bias)
             object.__setattr__(self, "bias", b)
             if b.shape != (self.c_out,):
                 raise ConfigError(f"bias shape {b.shape} != ({self.c_out},)")
-        for name, arr in (("weight", w), ("bias", self.bias)):
-            if arr is not None and not np.isfinite(arr).all():
-                raise ConfigError(f"conv {name} contains non-finite values")
+        for name, arr, source in (("weight", w, weight), ("bias", self.bias, bias)):
+            if arr is not None:
+                require_finite(arr, f"conv {name}", ConfigError, source=source)
 
     @property
     def c_out(self) -> int:

@@ -26,7 +26,18 @@ from .errors import (
     UnsupportedVersionError,
     VolumeFormatError,
 )
-from .tensor import DTYPE, POSITIVE, SPATIAL_AXES, count, real, real_array, require_finite, seeded_rng, spatial_triple
+from .tensor import (
+    DTYPE,
+    POSITIVE,
+    SPATIAL_AXES,
+    as_dtype,
+    count,
+    real,
+    real_array,
+    require_finite,
+    seeded_rng,
+    spatial_triple,
+)
 
 MAGIC = b"VXSG"
 VERSION = 1
@@ -44,14 +55,6 @@ def _file_path(path):
         raise DomainError(f"path must be a str, bytes or os.PathLike, got {type(path).__name__}") from None
 
 
-def _as_tensor5(data) -> np.ndarray:
-    """Coerce ``data``, an array of real numbers (DomainError otherwise), to a contiguous rank-5 float32 array."""
-    arr = np.ascontiguousarray(real_array(data, "volume payload", DomainError), dtype=DTYPE)
-    if arr.ndim != 5:
-        raise ShapeError(f"expected rank-5 [M, C, D, H, W] array, got rank {arr.ndim}")
-    return arr
-
-
 def write(path, t: np.ndarray) -> None:
     """Serialize a rank-5 tensor; read(write(t)) is bit-exact.
 
@@ -61,12 +64,16 @@ def write(path, t: np.ndarray) -> None:
     file is cut to its new size and the magic is written last, so ``read``
     refuses a write that was interrupted.  Any other destination (a FIFO,
     ``/dev/null``) gets the header, magic included, then the payload.  A payload
-    that is not real (DomainError) or not finite, or a ``path`` that is not a
-    path (DomainError), is refused before the file is opened.
+    that is not real (DomainError) or not finite in float32 (NonFiniteError),
+    or a ``path`` that is not a path (DomainError), is refused before the
+    file is opened.
     """
     path = _file_path(path)
-    t = _as_tensor5(t)
-    require_finite(t, "volume payload")
+    given = real_array(t, "volume payload", DomainError)
+    t = as_dtype(given)
+    if t.ndim != 5:
+        raise ShapeError(f"expected rank-5 [M, C, D, H, W] array, got rank {t.ndim}")
+    require_finite(t, "volume payload", source=given)
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         st = os.fstat(f.fileno())
         regular = stat.S_ISREG(st.st_mode)

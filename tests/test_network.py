@@ -26,7 +26,7 @@ from pwseg.network import (
     total_flops,
 )
 from pwseg.pwa import pwa_flops
-from pwseg.tensor import ConvParams, conv3d, param_arrays, pointwise_conv, voxel_shuffle
+from pwseg.tensor import ConvParams, conv3d, gelu, param_arrays, pointwise_conv, voxel_shuffle
 from test_tensor import per_group_conv3d
 
 SMALL = NetworkConfig(input_extent=(32, 32, 32), conv_depth=(1, 1, 1, 1))
@@ -279,8 +279,8 @@ class TestForward:
         assert forward(net, vols).shape == (2, 32, 32, 32)
 
     def test_peak_memory_below_stem_buffers(self):
-        """At its peak one forward holds the mixed tensor and the concatenated
-        volumes, and at most 4 MiB besides; the stem buffers are gone by then."""
+        """One forward's peak stays under the whole-volume stem's buffers (the mixed
+        tensor and the concatenated volumes) plus 4 MiB."""
         cfg = NetworkConfig(modalities=4, input_extent=(64, 64, 64))
         net = build(cfg, seed=0)
         rng = np.random.default_rng(12)
@@ -310,6 +310,14 @@ class TestForward:
         vols = [np.zeros((1, 32, 32, 32), dtype=np.float32) for _ in range(2)]
         vols[1][0, 3, 4, 5] = np.nan
         with pytest.raises(NonFiniteError, match="modality 1"):
+            forward(net, vols)
+
+    def test_beyond_float32_range_volume_named(self):
+        """A finite float64 volume that float32 cannot hold raises the named error, with no cast warning."""
+        net = build(SMALL, seed=0)
+        vols = [np.zeros((1, 32, 32, 32)) for _ in range(2)]
+        vols[0][0, 1, 2, 3] = 1e39
+        with pytest.raises(NonFiniteError, match="modality 0 volume holds finite values beyond the float32 range"):
             forward(net, vols)
 
 
@@ -510,6 +518,21 @@ PINNED_COSTS = {
 }
 
 
+# flop_breakdown of the default nets at perfbench's extents and modalities, in FLOP_GROUPS order: the
+# whole-volume stem's integers, which the sum over the stem's slabs keeps.
+PERFBENCH_COSTS = {
+    (2, 96): (595206144, 395884800, 380405376, 13564800, 74535552, 273231360, 132710400),
+    (4, 64): (210042880, 117299200, 555515904, 4019200, 36807680, 80957440, 39321600),
+}
+
+
+def walked_calls(net):
+    """(callee, id(params) or None, input shape) per call ``_walk`` lists."""
+    return [
+        (callee, None if params is None else id(params), shape) for _, callee, params, shape, _ in network._walk(net)
+    ]
+
+
 def recorded_forward_calls(monkeypatch, net):
     """(callee, id(params) or None, input shape) per module-level call ``forward`` makes."""
     calls = []
@@ -538,13 +561,21 @@ class TestWalk:
     @pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
     def test_walk_equals_forward_calls(self, monkeypatch, name):
         net = build(WALK_CONFIGS[name], seed=3)
-        walked = [
-            (callee, None if params is None else id(params), shape)
-            for _, callee, params, shape, _ in network._walk(net)
-        ]
         recorded = recorded_forward_calls(monkeypatch, net)
         assert len(recorded) == PINNED_COSTS[name][0]
-        assert walked == recorded
+        assert walked_calls(net) == recorded
+
+    def test_walk_equals_forward_calls_over_stem_slabs(self, monkeypatch):
+        """At 64^3 with two modalities the stem runs in 8 slabs, and the walk lists each slab's calls."""
+        net = build(replace(WALK_BASE, input_extent=(64, 64, 64)), seed=3)
+        recorded = recorded_forward_calls(monkeypatch, net)
+        assert [shape for _, params, shape in recorded if params == id(net.modal_mixer)] == [(2, 8, 64, 64)] * 8
+        assert walked_calls(net) == recorded
+
+    @pytest.mark.parametrize("modalities, extent", sorted(PERFBENCH_COSTS))
+    def test_perfbench_costs_pinned(self, modalities, extent):
+        net = build(NetworkConfig(modalities=modalities, input_extent=(extent,) * 3), seed=0)
+        assert list(flop_breakdown(net).items()) == list(zip(FLOP_GROUPS, PERFBENCH_COSTS[modalities, extent]))
 
     @pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
     def test_costs_pinned(self, name):
@@ -570,6 +601,62 @@ class TestWalk:
         """An empty extent is not the build extent."""
         with pytest.raises(ShapeError, match="triple"):
             flop_breakdown(build(WALK_BASE, seed=3), ())
+
+
+def whole_volume_stem(net, vols):
+    """The stem in one pass over the whole volume: the oracle of the slab stem."""
+    mixed = gelu(pointwise_conv(np.concatenate(vols, axis=0), net.modal_mixer))
+    jx = downsample_conv(mixed, net.jlc_embed)
+    if net.config.early_fusion:
+        return jx, [downsample_conv(mixed, net.pwa_embed)]
+    return jx, [downsample_conv(v, net.pwa_embed) for v in vols]
+
+
+# The 32^3 net with stage 1 at 24 channels has 20-plane slabs and a ragged 12-plane last slab.
+STEM_CONFIGS = {
+    "m4_64": NetworkConfig(modalities=4, input_extent=(64, 64, 64)),
+    "m1_64": NetworkConfig(modalities=1, input_extent=(64, 64, 64)),
+    "m4_early_fusion_64": NetworkConfig(modalities=4, input_extent=(64, 64, 64), early_fusion=True),
+    "wide_32": replace(WALK_BASE, stage_widths=(24, 48, 96, 192)),
+}
+
+
+class TestStemSlabs:
+    """The stem runs per slab of whole patch-stride z-plane groups, with the bits of the whole-volume stem."""
+
+    @pytest.mark.parametrize("cfg, slabs", [
+        (WALK_BASE, [(0, 32)]),
+        (replace(WALK_BASE, input_extent=(64, 64, 64)), [(z, z + 8) for z in range(0, 64, 8)]),
+        (NetworkConfig(), [(z, z + 4) for z in range(0, 96, 4)]),
+        (STEM_CONFIGS["wide_32"], [(0, 20), (20, 32)]),
+    ], ids=["32", "64", "96", "wide_32"])
+    def test_slabs(self, cfg, slabs):
+        assert network._stem_slabs(cfg) == slabs
+
+    @pytest.mark.parametrize("name", sorted(STEM_CONFIGS))
+    def test_equals_whole_volume_stem(self, name):
+        cfg = STEM_CONFIGS[name]
+        net = build(cfg, seed=5)
+        rng = np.random.default_rng(14)
+        vols = [rng.standard_normal((1, *cfg.input_extent), dtype=np.float32) for _ in range(cfg.modalities)]
+        jx, px = network._stem_forward(net, vols)
+        want_jx, want_px = whole_volume_stem(net, vols)
+        assert np.array_equal(jx, want_jx)
+        assert len(px) == len(want_px) and all(np.array_equal(a, b) for a, b in zip(px, want_px))
+
+    def test_peak_memory(self):
+        """At 64^3 with two modalities the stem holds one slab's buffers, not the 16 MiB mixed tensor."""
+        cfg = NetworkConfig(input_extent=(64, 64, 64))
+        net = build(cfg, seed=0)
+        rng = np.random.default_rng(15)
+        vols = [rng.standard_normal((1, *cfg.input_extent), dtype=np.float32) for _ in range(cfg.modalities)]
+        tracemalloc.start()
+        try:
+            network._stem_forward(net, vols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def as_float64(a):

@@ -565,6 +565,11 @@ class TestOverflow:
         with pytest.raises(NonFiniteError, match=re.escape("teacher 0: overflow encountered in the weighted loss")):
             sdkt_loss(x, [(np.full_like(x, 1e8), 1e300)])
 
+    def test_mmd_kernel(self):
+        """The squared kernel of 1e10 features overflows float32; the MMD raises, it does not return inf."""
+        with pytest.raises(NonFiniteError, match=re.escape("MMD kernel: overflow encountered in square")):
+            mmd_poly2(np.full((2, 3), 1e10, np.float32), np.ones((2, 3), np.float32))
+
     def test_error_state_restored(self):
         before = np.geterr()
         with pytest.raises(NonFiniteError):

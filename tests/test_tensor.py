@@ -18,6 +18,7 @@ from pwseg.tensor import (
     ConvParams,
     _check_divisible,
     _normalize,
+    as_dtype,
     conv3d,
     gelu,
     instance_norm,
@@ -339,6 +340,14 @@ class TestConv3d:
         arrays = {"weight": np.ones((2, 1, 3, 3, 3), dtype=np.float32), "bias": np.zeros(2, dtype=np.float32)}
         arrays[field].flat[0] = bad
         with pytest.raises(ConfigError, match=f"conv {field} contains non-finite values"):
+            ConvParams(**arrays)
+
+    @pytest.mark.parametrize("field", ["weight", "bias"])
+    def test_beyond_float32_range_named(self, field):
+        """A finite float64 entry that float32 cannot hold is named as out of range, not as non-finite."""
+        arrays = {"weight": np.ones((2, 1, 3, 3, 3)), "bias": np.zeros(2)}
+        arrays[field].flat[0] = 1e39
+        with pytest.raises(ConfigError, match=f"conv {field} holds finite values beyond the float32 range"):
             ConvParams(**arrays)
 
     def test_stride_below_one_rejected(self):
@@ -704,3 +713,12 @@ class TestRequireFinite:
     def test_finite_passes_through(self):
         x = np.ones(4, dtype=np.float32)
         assert require_finite(x) is x
+
+    @pytest.mark.parametrize("source, message", [
+        (np.array([1.0, 1e39]), "holds finite values beyond the float32 range"),
+        (np.array([np.nan, 1e39]), "contains non-finite values"),
+    ], ids=["out_of_range", "non_finite"])
+    def test_source_names_out_of_range(self, source, message):
+        """``as_dtype`` casts without a warning; the source tells an out-of-range value from a non-finite one."""
+        with pytest.raises(NonFiniteError, match=f"weights {message}"):
+            require_finite(as_dtype(source), "weights", source=source)

@@ -86,6 +86,12 @@ class TestFormat:
         with pytest.raises(ValueError):
             write(tmp_path / "nan.vxs", t)
 
+    def test_rejects_beyond_float32_range(self, tmp_path):
+        """A finite float64 payload that float32 cannot hold is named as such, and nothing is written."""
+        with pytest.raises(NonFiniteError, match="volume payload holds finite values beyond the float32 range"):
+            write(tmp_path / "big.vxs", np.full((1, 1, 1, 1, 2), 1e39))
+        assert not (tmp_path / "big.vxs").exists()
+
     @pytest.mark.parametrize("form", [str, os.fsencode, Path])
     def test_path_forms_roundtrip(self, tmp_path, form):
         t = volume(3, (1, 2, 3, 4, 5))
